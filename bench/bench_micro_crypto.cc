@@ -1,9 +1,9 @@
-// Micro-benchmarks of the crypto substrate, reported per AES backend:
-// every AES operation runs against the software table implementation AND
-// the hardware backend (AES-NI / ARMv8 CE) when this CPU has one, side by
-// side, so a run shows exactly what the dispatch layer buys. SHA-256,
-// HMAC and the ChaCha20 CSPRNG ride along as the remaining CostModel
-// inputs. Results also land in machine-readable micro_crypto.json.
+// Micro-benchmarks of the crypto substrate, reported per backend: every
+// AES, SHA-256, HMAC-SHA-256 and ChaCha20 (SecureRandom) operation runs
+// against the portable implementation AND the hardware backend (AES-NI /
+// ARMv8 CE, SHA-NI, AVX2/SSE2) when this CPU has one, side by side, so a
+// run shows exactly what the dispatch layer buys. Results also land in
+// machine-readable micro_crypto.json.
 
 #include <cstdio>
 #include <fstream>
@@ -30,6 +30,11 @@ using fresque::bench::TableWriter;
 using fresque::bench::ValueOrExit;
 using fresque::crypto::Aes;
 using fresque::crypto::AesCbc;
+using fresque::crypto::Backend;
+using fresque::crypto::ChaCha20;
+using fresque::crypto::HmacSha256;
+using fresque::crypto::SecureRandom;
+using fresque::crypto::Sha256;
 
 struct JsonRow {
   std::string op;
@@ -66,30 +71,43 @@ void Record(const std::string& op, const std::string& backend, double ns,
   g_rows.push_back({op, backend, ns, bytes});
 }
 
-/// Name of the hardware backend on this CPU ("aesni"/"armv8"), probed
+/// The hardware backend of one primitive on this CPU, probed
 /// independently of the FRESQUE_FORCE_SOFT_CRYPTO override so the bench
 /// always compares both implementations when the silicon has them.
-const char* HardwareName() {
-  static const std::string name = [] {
-    auto aes = Aes::Create(Bytes(16, 0), Aes::Backend::kHardware);
-    return aes.ok() ? std::string(aes->backend_name()) : std::string("-");
-  }();
-  return name.c_str();
+struct HwBackend {
+  bool available;
+  std::string name;  ///< "aesni", "shani", "avx2", ... or "-"
+};
+
+HwBackend AesHw() {
+  auto aes = Aes::Create(Bytes(16, 0), Backend::kHardware);
+  return {aes.ok(), aes.ok() ? aes->backend_name() : "-"};
 }
 
-/// One AES op measured under both backends; emits a soft / hw / speedup
+HwBackend Sha256Hw() {
+  const bool ok = Sha256::HardwareBackendAvailable();
+  return {ok, ok ? Sha256(Backend::kHardware).backend_name() : "-"};
+}
+
+HwBackend ChaCha20Hw() {
+  const bool ok = ChaCha20::HardwareBackendAvailable();
+  return {ok, ok ? ChaCha20({}, {}, 0, Backend::kHardware).backend_name()
+                 : "-"};
+}
+
+/// One op measured under both backends; emits a soft / hw / speedup
 /// table row and two JSON rows (hw columns are "-" without hardware).
 template <typename MakeOp>
-void SideBySide(TableWriter& table, const std::string& op, size_t bytes,
-                MakeOp&& make_op) {
-  double soft_ns = TimeNs(make_op(Aes::Backend::kSoftware));
+void SideBySide(TableWriter& table, const HwBackend& hw, const std::string& op,
+                size_t bytes, MakeOp&& make_op) {
+  double soft_ns = TimeNs(make_op(Backend::kSoftware));
   Record(op, "soft", soft_ns, bytes);
-  if (!Aes::HardwareBackendAvailable()) {
+  if (!hw.available) {
     table.Row({op, Fmt(soft_ns, "%.1f"), "-", "-"});
     return;
   }
-  double hw_ns = TimeNs(make_op(Aes::Backend::kHardware));
-  Record(op, HardwareName(), hw_ns, bytes);
+  double hw_ns = TimeNs(make_op(Backend::kHardware));
+  Record(op, hw.name, hw_ns, bytes);
   table.Row({op, Fmt(soft_ns, "%.1f"), Fmt(hw_ns, "%.1f"),
              Fmt(soft_ns / hw_ns, "%.1fx")});
 }
@@ -99,7 +117,9 @@ void WriteJson(const std::string& path) {
   out << "{\n  \"active_backend\": \"" << Aes::ActiveBackendName()
       << "\",\n  \"hardware_available\": "
       << (Aes::HardwareBackendAvailable() ? "true" : "false")
-      << ",\n  \"results\": [\n";
+      << ",\n  \"active_sha256_backend\": \"" << Sha256::ActiveBackendName()
+      << "\",\n  \"active_chacha20_backend\": \""
+      << ChaCha20::ActiveBackendName() << "\",\n  \"results\": [\n";
   for (size_t i = 0; i < g_rows.size(); ++i) {
     const auto& r = g_rows[i];
     out << "    {\"op\": \"" << r.op << "\", \"backend\": \"" << r.backend
@@ -114,14 +134,15 @@ void WriteJson(const std::string& path) {
 }  // namespace
 
 int main() {
-  std::cout << "active AES backend: " << Aes::ActiveBackendName()
-            << " (hardware " << (Aes::HardwareBackendAvailable() ? "yes" : "no")
-            << ")\n";
+  std::cout << "active backends: aes " << Aes::ActiveBackendName()
+            << ", sha256 " << Sha256::ActiveBackendName() << ", chacha20 "
+            << ChaCha20::ActiveBackendName() << "\n";
+  const HwBackend aes_hw = AesHw();
 
   TableWriter table("AES backends side by side (ns/op)",
                     {"op", "soft_ns", "hw_ns", "speedup"});
 
-  SideBySide(table, "aes128_block_encrypt", 16, [](Aes::Backend b) {
+  SideBySide(table, aes_hw, "aes128_block_encrypt", 16, [](Backend b) {
     auto aes = ValueOrExit(Aes::Create(Bytes(16, 0x42), b));
     return [aes = std::move(aes)]() mutable {
       uint8_t block[16] = {};
@@ -130,8 +151,8 @@ int main() {
   });
 
   for (size_t len : {size_t{48}, size_t{120}, size_t{1024}, size_t{16384}}) {
-    SideBySide(table, "aes128_cbc_encrypt_" + std::to_string(len), len,
-               [len](Aes::Backend b) {
+    SideBySide(table, aes_hw, "aes128_cbc_encrypt_" + std::to_string(len), len,
+               [len](Backend b) {
                  auto cbc = ValueOrExit(AesCbc::Create(Bytes(16, 0x42), b));
                  fresque::crypto::SecureRandom rng(1);
                  Bytes payload = rng.RandomBytes(len);
@@ -148,8 +169,8 @@ int main() {
   // encrypted as one interleaved batch (what a computing node does per
   // inbox batch). ns/op covers the whole 64-record batch; divide by 64 to
   // compare with the single-message rows above.
-  SideBySide(table, "aes128_cbc_encrypt_batch64_of_120", 120,
-             [](Aes::Backend b) {
+  SideBySide(table, aes_hw, "aes128_cbc_encrypt_batch64_of_120", 120,
+             [](Backend b) {
                auto cbc = ValueOrExit(AesCbc::Create(Bytes(16, 0x42), b));
                fresque::crypto::SecureRandom rng(1);
                constexpr size_t kBatch = 64;
@@ -176,8 +197,8 @@ int main() {
              });
 
   for (size_t len : {size_t{120}, size_t{1024}}) {
-    SideBySide(table, "aes128_cbc_decrypt_" + std::to_string(len), len,
-               [len](Aes::Backend b) {
+    SideBySide(table, aes_hw, "aes128_cbc_decrypt_" + std::to_string(len), len,
+               [len](Backend b) {
                  auto cbc = ValueOrExit(AesCbc::Create(Bytes(16, 0x42), b));
                  fresque::crypto::SecureRandom rng(1);
                  Bytes payload = rng.RandomBytes(len);
@@ -191,33 +212,47 @@ int main() {
                });
   }
 
-  TableWriter rest("Other primitives (ns/op)", {"op", "ns_per_op"});
-  {
-    fresque::crypto::SecureRandom rng(1);
-    for (size_t len : {size_t{64}, size_t{1024}, size_t{65536}}) {
-      Bytes payload = rng.RandomBytes(len);
-      double ns = TimeNs([&] {
-        auto d = fresque::crypto::Sha256::Hash(payload);
-        (void)d;
-      });
-      Record("sha256_" + std::to_string(len), "n/a", ns, len);
-      rest.Row({"sha256_" + std::to_string(len), Fmt(ns, "%.1f")});
-    }
-    Bytes key(32, 0x11);
-    Bytes payload = rng.RandomBytes(128);
-    double mac_ns = TimeNs([&] {
-      auto mac = fresque::crypto::HmacSha256::Mac(key, payload);
-      (void)mac;
-    });
-    Record("hmac_sha256_128", "n/a", mac_ns, 128);
-    rest.Row({"hmac_sha256_128", Fmt(mac_ns, "%.1f")});
+  TableWriter hashes("SHA-256 / HMAC-SHA-256 backends side by side (ns/op)",
+                     {"op", "soft_ns", "hw_ns", "speedup"});
+  const HwBackend sha_hw = Sha256Hw();
+  for (size_t len : {size_t{64}, size_t{1024}, size_t{65536}}) {
+    SideBySide(hashes, sha_hw, "sha256_" + std::to_string(len), len,
+               [len](Backend b) {
+                 Bytes payload = SecureRandom(1).RandomBytes(len);
+                 return [b, payload = std::move(payload)] {
+                   Sha256 h(b);
+                   h.Update(payload);
+                   auto d = h.Finish();
+                   (void)d;
+                 };
+               });
+  }
+  // 128 B is a key-derivation-sized message; 65536 B shows the per-byte
+  // rate that signing a multi-megabyte publication runs at.
+  for (size_t len : {size_t{128}, size_t{65536}}) {
+    SideBySide(hashes, sha_hw, "hmac_sha256_" + std::to_string(len), len,
+               [len](Backend b) {
+                 Bytes payload = SecureRandom(1).RandomBytes(len);
+                 return [b, payload = std::move(payload)] {
+                   HmacSha256 mac(Bytes(32, 0x11), b);
+                   mac.Update(payload);
+                   auto d = mac.Finish();
+                   (void)d;
+                 };
+               });
+  }
 
-    for (size_t len : {size_t{16}, size_t{4096}}) {
-      Bytes buf(len);
-      double ns = TimeNs([&] { rng.Fill(buf.data(), buf.size()); });
-      Record("chacha20_fill_" + std::to_string(len), "n/a", ns, len);
-      rest.Row({"chacha20_fill_" + std::to_string(len), Fmt(ns, "%.1f")});
-    }
+  TableWriter streams("ChaCha20 (SecureRandom) backends side by side (ns/op)",
+                      {"op", "soft_ns", "hw_ns", "speedup"});
+  const HwBackend chacha_hw = ChaCha20Hw();
+  // 16 B is an IV draw, 80 B a dummy's padding plus IV, 4096 B a bulk fill.
+  for (size_t len : {size_t{16}, size_t{80}, size_t{4096}}) {
+    SideBySide(streams, chacha_hw, "chacha20_fill_" + std::to_string(len),
+               len, [len](Backend b) {
+                 return [rng = SecureRandom(1, b), buf = Bytes(len)]() mutable {
+                   rng.Fill(buf.data(), buf.size());
+                 };
+               });
   }
 
   WriteJson("micro_crypto.json");

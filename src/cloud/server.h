@@ -159,6 +159,8 @@ class CloudServer {
   /// Persists the whole server state (every publication: ciphertext
   /// segments, postings, indexes, overflow arrays, metadata of open
   /// publications) to one snapshot file, so the cloud survives restarts.
+  /// The server lock covers only the open publications' encode, not the
+  /// installed publications' encode or the file I/O.
   Status SaveSnapshot(const std::string& path) const FRESQUE_EXCLUDES(mu_);
 
   /// Restores a server from SaveSnapshot output. (Heap-allocated: the
@@ -192,6 +194,10 @@ class CloudServer {
   };
 
   Result<Publication*> Find(uint64_t pn) FRESQUE_REQUIRES(mu_);
+
+  /// SaveSnapshot's file body. mu_ is held only to encode the open
+  /// publications and pin the installed ones.
+  Bytes EncodeSnapshot() const FRESQUE_EXCLUDES(mu_);
 
   Result<MatchingStats> InstallPublication(
       uint64_t pn, Publication* pub, net::IndexPublication publication,

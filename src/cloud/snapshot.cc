@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <fstream>
 #include <memory>
+#include <vector>
 
 #include "cloud/server.h"
 
@@ -47,31 +48,66 @@ Result<PhysicalAddress> GetAddress(BinaryReader* r) {
 }  // namespace
 
 Status CloudServer::SaveSnapshot(const std::string& path) const {
-  MutexLock lock(mu_);
+  // The file is opened, written and flushed with mu_ released, so queries
+  // and record ingest never wait on the filesystem.
+  const Bytes buf = EncodeSnapshot();
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) return Status::IOError("cannot open " + path + " for write");
+  out.write(reinterpret_cast<const char*>(buf.data()),
+            static_cast<std::streamsize>(buf.size()));
+  out.flush();
+  if (!out) return Status::IOError("write failed for " + path);
+  return Status::OK();
+}
+
+Bytes CloudServer::EncodeSnapshot() const {
+  // Open publications change under mu_, so their records are encoded
+  // inside it. Installed ones are immutable and shared, so the lock only
+  // pins them; their encode (the bulk of the bytes) runs after release.
+  struct Entry {
+    uint64_t pn;
+    Bytes open_body;  // the encoded open state, when not installed
+    std::shared_ptr<const query::InstalledPublication> installed;
+  };
+  std::vector<Entry> entries;
+  {
+    MutexLock lock(mu_);
+    entries.reserve(publications_.size());
+    for (const auto& [pn, pub] : publications_) {
+      Entry e{pn, {}, pub.installed};
+      if (!pub.published()) {
+        BinaryWriter w;
+        w.PutBytes(pub.storage.Serialize());
+        w.PutU64(pub.metadata.size());
+        for (const auto& [leaf, addrs] : pub.metadata) {
+          w.PutU32(leaf);
+          w.PutU64(addrs.size());
+          for (const auto& a : addrs) PutAddress(&w, a);
+        }
+        w.PutU64(pub.tagged.size());
+        for (const auto& [tag, addr] : pub.tagged) {
+          w.PutU64(tag);
+          PutAddress(&w, addr);
+        }
+        e.open_body = w.Release();
+      }
+      entries.push_back(std::move(e));
+    }
+  }
+
   BinaryWriter w;
   w.PutRaw(reinterpret_cast<const uint8_t*>(kMagic), sizeof(kMagic));
   w.PutF64(binning_.domain_min());
   w.PutF64(binning_.domain_max());
   w.PutF64(binning_.bin_width());
-  w.PutU64(publications_.size());
-  for (const auto& [pn, pub] : publications_) {
-    w.PutU64(pn);
-    w.PutU8(pub.published() ? 1 : 0);
-    if (!pub.published()) {
-      w.PutBytes(pub.storage.Serialize());
-      w.PutU64(pub.metadata.size());
-      for (const auto& [leaf, addrs] : pub.metadata) {
-        w.PutU32(leaf);
-        w.PutU64(addrs.size());
-        for (const auto& a : addrs) PutAddress(&w, a);
-      }
-      w.PutU64(pub.tagged.size());
-      for (const auto& [tag, addr] : pub.tagged) {
-        w.PutU64(tag);
-        PutAddress(&w, addr);
-      }
+  w.PutU64(entries.size());
+  for (const Entry& e : entries) {
+    w.PutU64(e.pn);
+    w.PutU8(e.installed != nullptr ? 1 : 0);
+    if (e.installed == nullptr) {
+      w.PutRaw(e.open_body);
     } else {
-      const query::InstalledPublication& inst = *pub.installed;
+      const query::InstalledPublication& inst = *e.installed;
       w.PutBytes(inst.storage.Serialize());
       w.PutBytes(inst.index.Serialize());
       w.PutBytes(inst.overflow.Serialize());
@@ -83,14 +119,7 @@ Status CloudServer::SaveSnapshot(const std::string& path) const {
       }
     }
   }
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open " + path + " for write");
-  out.write(reinterpret_cast<const char*>(w.buffer().data()),
-            static_cast<std::streamsize>(w.size()));
-  out.flush();
-  if (!out) return Status::IOError("write failed for " + path);
-  return Status::OK();
+  return w.Release();
 }
 
 Result<std::unique_ptr<CloudServer>> CloudServer::LoadSnapshot(

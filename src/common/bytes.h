@@ -47,11 +47,30 @@ class BinaryWriter {
     PutRaw(b);
   }
 
+  /// Opens a u32-length-prefixed segment whose body is appended next,
+  /// e.g. by another object's SerializeTo(this). Pass the returned token
+  /// to EndBytes() once the body is written; the framing equals
+  /// PutBytes(body) without building `body` first.
+  size_t BeginBytes() {
+    const size_t at = buf_.size();
+    PutU32(0);
+    return at;
+  }
+  void EndBytes(size_t token) {
+    const uint32_t n = static_cast<uint32_t>(buf_.size() - token - 4);
+    for (size_t i = 0; i < 4; ++i) {
+      buf_[token + i] = static_cast<uint8_t>(n >> (8 * i));
+    }
+  }
+
   /// u32 length prefix followed by the characters.
   void PutString(const std::string& s) {
     PutU32(static_cast<uint32_t>(s.size()));
     PutRaw(reinterpret_cast<const uint8_t*>(s.data()), s.size());
   }
+
+  /// Pre-sizes the buffer for `total` bytes so appends do not reallocate.
+  void Reserve(size_t total) { buf_.reserve(total); }
 
   const Bytes& buffer() const { return buf_; }
   Bytes Release() { return std::move(buf_); }
@@ -111,6 +130,15 @@ class BinaryReader {
     Bytes out(data_ + pos_, data_ + pos_ + *n);
     pos_ += *n;
     return out;
+  }
+
+  /// Skips a u32 length prefix and that many bytes without copying them.
+  Status SkipBytes() {
+    auto n = GetU32();
+    if (!n.ok()) return n.status();
+    if (pos_ + *n > len_) return Eof("bytes body");
+    pos_ += *n;
+    return Status::OK();
   }
 
   Result<std::string> GetString() {

@@ -1,6 +1,5 @@
 #include "crypto/aes.h"
 
-#include <cstdlib>
 #include <cstring>
 
 namespace fresque {
@@ -236,12 +235,6 @@ constexpr AesBackend kSoftBackend = {
 // Dispatch
 // ---------------------------------------------------------------------------
 
-bool ForceSoftCrypto() {
-  const char* env = std::getenv("FRESQUE_FORCE_SOFT_CRYPTO");
-  return env != nullptr && env[0] != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
-}
-
 const AesBackend* HardwareBackend() {
   // Probed once; the answer cannot change while the process runs.
   static const AesBackend* const kHw = [] {
@@ -252,11 +245,8 @@ const AesBackend* HardwareBackend() {
 }
 
 const AesBackend* AutoBackend() {
-  static const AesBackend* const kAuto = [] {
-    if (ForceSoftCrypto()) return &kSoftBackend;
-    if (const AesBackend* hw = HardwareBackend()) return hw;
-    return &kSoftBackend;
-  }();
+  static const AesBackend* const kAuto =
+      internal::AutoPick(&kSoftBackend, HardwareBackend());
   return kAuto;
 }
 

@@ -7,6 +7,7 @@
 #include "common/bytes.h"
 #include "common/result.h"
 #include "crypto/aes_backend.h"
+#include "crypto/backend.h"
 
 namespace fresque {
 namespace crypto {
@@ -17,9 +18,8 @@ namespace crypto {
 /// the CPU offers — x86 AES-NI, ARMv8 Crypto Extensions, or the portable
 /// software tables — and every backend produces byte-identical output
 /// (enforced by known-answer and cross-check tests). Setting the
-/// environment variable `FRESQUE_FORCE_SOFT_CRYPTO` (to anything but
-/// "0" or "") pins the software path, e.g. to reproduce a result from a
-/// machine without the hardware ISA.
+/// environment variable `FRESQUE_FORCE_SOFT_CRYPTO` (see crypto/backend.h)
+/// pins the software path.
 ///
 /// This is the primitive under AesCbc; callers encrypting records should
 /// use AesCbc, which adds chaining and padding.
@@ -27,11 +27,8 @@ class Aes {
  public:
   static constexpr size_t kBlockSize = 16;
 
-  enum class Backend : uint8_t {
-    kAuto = 0,      ///< env override, else hardware if present, else soft
-    kSoftware = 1,  ///< portable tables, always available
-    kHardware = 2,  ///< AES-NI / ARMv8-CE; Create fails if unavailable
-  };
+  /// kHardware means AES-NI / ARMv8-CE; Create fails if unavailable.
+  using Backend = crypto::Backend;
 
   /// `key` must be 16, 24 or 32 bytes.
   static Result<Aes> Create(const Bytes& key, Backend backend = Backend::kAuto);

@@ -5,30 +5,33 @@
 namespace fresque {
 namespace crypto {
 
-HmacSha256::HmacSha256(const Bytes& key) {
+HmacSha256::HmacSha256(const Bytes& key, Backend backend)
+    : inner_(backend), outer_(backend) {
   uint8_t block_key[Sha256::kBlockSize];
   std::memset(block_key, 0, sizeof(block_key));
   if (key.size() > Sha256::kBlockSize) {
-    auto digest = Sha256::Hash(key);
+    Sha256 prehash(backend);
+    prehash.Update(key);
+    auto digest = prehash.Finish();
     std::memcpy(block_key, digest.data(), digest.size());
   } else {
     std::memcpy(block_key, key.data(), key.size());
   }
 
   uint8_t ipad_key[Sha256::kBlockSize];
+  uint8_t opad_key[Sha256::kBlockSize];
   for (size_t i = 0; i < Sha256::kBlockSize; ++i) {
     ipad_key[i] = block_key[i] ^ 0x36;
-    opad_key_[i] = block_key[i] ^ 0x5c;
+    opad_key[i] = block_key[i] ^ 0x5c;
   }
   inner_.Update(ipad_key, sizeof(ipad_key));
+  outer_.Update(opad_key, sizeof(opad_key));
 }
 
 std::array<uint8_t, HmacSha256::kDigestSize> HmacSha256::Finish() {
   auto inner_digest = inner_.Finish();
-  Sha256 outer;
-  outer.Update(opad_key_, sizeof(opad_key_));
-  outer.Update(inner_digest.data(), inner_digest.size());
-  return outer.Finish();
+  outer_.Update(inner_digest.data(), inner_digest.size());
+  return outer_.Finish();
 }
 
 std::array<uint8_t, HmacSha256::kDigestSize> HmacSha256::Mac(

@@ -17,8 +17,11 @@ class HmacSha256 {
   static constexpr size_t kDigestSize = Sha256::kDigestSize;
 
   /// Keys longer than the block size are pre-hashed, per RFC 2104.
-  explicit HmacSha256(const Bytes& key);
+  /// `backend` picks the SHA-256 compression (see Sha256).
+  explicit HmacSha256(const Bytes& key, Backend backend = Backend::kAuto);
 
+  /// Absorbs message bytes; may be called repeatedly, e.g. to MAC a
+  /// prefix of a larger buffer in place.
   void Update(const uint8_t* data, size_t len) { inner_.Update(data, len); }
   void Update(const Bytes& data) { inner_.Update(data); }
 
@@ -29,8 +32,8 @@ class HmacSha256 {
                                               const Bytes& message);
 
  private:
-  Sha256 inner_;
-  uint8_t opad_key_[Sha256::kBlockSize];
+  Sha256 inner_;  ///< has absorbed key ^ ipad
+  Sha256 outer_;  ///< has absorbed key ^ opad
 };
 
 /// Compares two byte ranges without data-dependent branching. Returns true

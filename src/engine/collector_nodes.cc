@@ -647,15 +647,13 @@ void MergerImpl::FinishPublication(net::Message&& snap) {
     }
   }
 
-  net::IndexPublication publication(std::move(*merged), std::move(overflow));
-  publication.integrity_tag = net::ComputeIndexPublicationTag(
-      publication, keys_->IndexMacKey(snap.pn));
-
   net::Message out;
   out.type = net::MessageType::kIndexPublication;
   out.pn = snap.pn;
   out.born_ns = snap.born_ns;  // publish-barrier stamp rides to the cloud
-  out.payload = net::EncodeIndexPublication(publication);
+  out.payload = net::EncodeSignedIndexPublication(
+      net::IndexPublication(std::move(*merged), std::move(overflow)),
+      keys_->IndexMacKey(snap.pn));
   cloud_out_.push_back(std::move(out));
   publications_shipped_.fetch_add(1, std::memory_order_relaxed);
   FRESQUE_COUNTER_ADD("collector.publications_shipped", 1);

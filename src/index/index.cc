@@ -154,17 +154,21 @@ size_t HistogramIndex::WalkToLeaf(double v) const {
 
 Bytes HistogramIndex::Serialize() const {
   BinaryWriter w;
-  w.PutU64(layout_.num_leaves());
-  w.PutU32(static_cast<uint32_t>(layout_.fanout()));
-  w.PutF64(binning_.domain_min());
-  w.PutF64(binning_.domain_max());
-  w.PutF64(binning_.bin_width());
-  w.PutU32(static_cast<uint32_t>(counts_.size()));
-  for (const auto& level : counts_) {
-    w.PutU64(level.size());
-    for (int64_t c : level) w.PutI64(c);
-  }
+  SerializeTo(&w);
   return w.Release();
+}
+
+void HistogramIndex::SerializeTo(BinaryWriter* w) const {
+  w->PutU64(layout_.num_leaves());
+  w->PutU32(static_cast<uint32_t>(layout_.fanout()));
+  w->PutF64(binning_.domain_min());
+  w->PutF64(binning_.domain_max());
+  w->PutF64(binning_.bin_width());
+  w->PutU32(static_cast<uint32_t>(counts_.size()));
+  for (const auto& level : counts_) {
+    w->PutU64(level.size());
+    for (int64_t c : level) w->PutI64(c);
+  }
 }
 
 Result<HistogramIndex> HistogramIndex::Deserialize(const Bytes& data) {

@@ -80,6 +80,8 @@ class HistogramIndex {
 
   /// Serialized form published to the cloud.
   Bytes Serialize() const;
+  /// Appends the same bytes to `w`.
+  void SerializeTo(BinaryWriter* w) const;
   static Result<HistogramIndex> Deserialize(const Bytes& data);
 
   /// In-memory footprint of the counts (for storage-overhead reporting).

@@ -44,14 +44,25 @@ size_t OverflowArrays::total_used() const {
 
 Bytes OverflowArrays::Serialize() const {
   BinaryWriter w;
-  w.PutU64(slots_.size());
-  w.PutU64(slots_per_leaf_);
+  w.Reserve(SerializedSize());
+  SerializeTo(&w);
+  return w.Release();
+}
+
+void OverflowArrays::SerializeTo(BinaryWriter* w) const {
+  w->PutU64(slots_.size());
+  w->PutU64(slots_per_leaf_);
   for (const auto& leaf : slots_) {
     for (const auto& slot : leaf) {
-      w.PutBytes(slot);
+      w->PutBytes(slot);
     }
   }
-  return w.Release();
+}
+
+size_t OverflowArrays::SerializedSize() const {
+  // Two u64 geometry words, then a u32 length prefix per slot.
+  return 2 * sizeof(uint64_t) +
+         slots_.size() * slots_per_leaf_ * sizeof(uint32_t) + PayloadBytes();
 }
 
 Result<OverflowArrays> OverflowArrays::Deserialize(const Bytes& data) {

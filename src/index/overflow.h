@@ -71,6 +71,10 @@ class OverflowArrays {
 
   /// Serialized bytes of all arrays (what the merger publishes).
   Bytes Serialize() const;
+  /// Appends the Serialize() bytes to `w`.
+  void SerializeTo(BinaryWriter* w) const;
+  /// Length of the Serialize() bytes, computed without serializing.
+  size_t SerializedSize() const;
   static Result<OverflowArrays> Deserialize(const Bytes& data);
 
   /// Total payload bytes across all slots (storage-overhead reporting).

@@ -1,5 +1,7 @@
 #include "net/payloads.h"
 
+#include <array>
+
 #include "crypto/hmac.h"
 
 namespace fresque {
@@ -41,25 +43,45 @@ Result<std::vector<int64_t>> DecodeAlSnapshot(const Bytes& payload) {
 
 namespace {
 
-/// HMAC over the two length-prefixed content segments.
-Bytes TagOver(const Bytes& index_bytes, const Bytes& overflow_bytes,
-              const Bytes& mac_key) {
+/// Appends the index and overflow segments, each u32-length-prefixed,
+/// reserving room for them and a trailing tag segment of `tag_len` bytes
+/// so the multi-megabyte overflow arrays are written without a
+/// reallocation.
+void PutContentSegments(const IndexPublication& pub, size_t tag_len,
+                        BinaryWriter* w) {
+  size_t at = w->BeginBytes();
+  pub.index.SerializeTo(w);
+  w->EndBytes(at);
+  w->Reserve(w->size() + sizeof(uint32_t) + pub.overflow.SerializedSize() +
+             sizeof(uint32_t) + tag_len);
+  at = w->BeginBytes();
+  pub.overflow.SerializeTo(w);
+  w->EndBytes(at);
+}
+
+std::array<uint8_t, crypto::HmacSha256::kDigestSize> MacPrefix(
+    const uint8_t* data, size_t len, const Bytes& mac_key) {
   crypto::HmacSha256 mac(mac_key);
-  BinaryWriter framed;
-  framed.PutBytes(index_bytes);
-  framed.PutBytes(overflow_bytes);
-  mac.Update(framed.buffer());
-  auto digest = mac.Finish();
-  return Bytes(digest.begin(), digest.end());
+  mac.Update(data, len);
+  return mac.Finish();
 }
 
 }  // namespace
 
 Bytes EncodeIndexPublication(const IndexPublication& pub) {
   BinaryWriter w;
-  w.PutBytes(pub.index.Serialize());
-  w.PutBytes(pub.overflow.Serialize());
+  PutContentSegments(pub, pub.integrity_tag.size(), &w);
   w.PutBytes(pub.integrity_tag);
+  return w.Release();
+}
+
+Bytes EncodeSignedIndexPublication(const IndexPublication& pub,
+                                   const Bytes& mac_key) {
+  BinaryWriter w;
+  PutContentSegments(pub, crypto::HmacSha256::kDigestSize, &w);
+  const auto tag = MacPrefix(w.buffer().data(), w.size(), mac_key);
+  w.PutU32(static_cast<uint32_t>(tag.size()));
+  w.PutRaw(tag.data(), tag.size());
   return w.Release();
 }
 
@@ -81,24 +103,19 @@ Result<IndexPublication> DecodeIndexPublication(const Bytes& payload) {
   return pub;
 }
 
-Bytes ComputeIndexPublicationTag(const IndexPublication& pub,
-                                 const Bytes& mac_key) {
-  return TagOver(pub.index.Serialize(), pub.overflow.Serialize(), mac_key);
-}
-
 Status VerifyIndexPublicationPayload(const Bytes& payload,
                                      const Bytes& mac_key) {
   BinaryReader r(payload);
-  auto index_bytes = r.GetBytes();
-  auto overflow_bytes = r.GetBytes();
+  const bool content_ok = r.SkipBytes().ok() && r.SkipBytes().ok();
+  const size_t signed_len = r.position();
   auto tag = r.GetBytes();
-  if (!index_bytes.ok() || !overflow_bytes.ok() || !tag.ok()) {
+  if (!content_ok || !tag.ok()) {
     return Status::Corruption("truncated index publication");
   }
   if (tag->empty()) {
     return Status::FailedPrecondition("publication carries no tag");
   }
-  Bytes expected = TagOver(*index_bytes, *overflow_bytes, mac_key);
+  const auto expected = MacPrefix(payload.data(), signed_len, mac_key);
   if (tag->size() != expected.size() ||
       !crypto::ConstantTimeEquals(tag->data(), expected.data(),
                                   expected.size())) {

@@ -40,17 +40,24 @@ struct IndexPublication {
   IndexPublication(index::HistogramIndex idx, index::OverflowArrays ovf)
       : index(std::move(idx)), overflow(std::move(ovf)) {}
 };
+///
+/// Wire layout: three u32-length-prefixed segments — the serialized
+/// index, the serialized overflow arrays, the tag. The tag is
+/// HMAC-SHA-256 over the first two segments *with* their length
+/// prefixes, i.e. over the payload prefix that precedes the tag segment.
 Bytes EncodeIndexPublication(const IndexPublication& pub);
 Result<IndexPublication> DecodeIndexPublication(const Bytes& payload);
 
-/// Computes the integrity tag for `pub` under `mac_key` (HMAC over the
-/// serialized index and overflow segments).
-Bytes ComputeIndexPublicationTag(const IndexPublication& pub,
-                                 const Bytes& mac_key);
+/// Encodes `pub` signed under `mac_key` in one pass: both content
+/// segments are serialized straight into the payload, the HMAC runs over
+/// that prefix in place and the tag is appended. `pub.integrity_tag` is
+/// ignored. Same bytes as EncodeIndexPublication with the tag filled in.
+Bytes EncodeSignedIndexPublication(const IndexPublication& pub,
+                                   const Bytes& mac_key);
 
-/// Verifies a stored publication payload against `mac_key`. Fails with
-/// Corruption on mismatch and FailedPrecondition when the payload carries
-/// no tag.
+/// Verifies a stored publication payload against `mac_key`, MACing the
+/// payload prefix in place. Fails with Corruption on mismatch and
+/// FailedPrecondition when the payload carries no tag.
 Status VerifyIndexPublicationPayload(const Bytes& payload,
                                      const Bytes& mac_key);
 
