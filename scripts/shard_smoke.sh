@@ -4,12 +4,16 @@
 # Usage: scripts/shard_smoke.sh [build-dir]
 #
 # Drives a real 4-shard `fresque_cli ingest --shards=4` with the obs
-# server attached, then proves the sharded surface end to end:
-#   1. /statusz renders the per-shard table (one row per shard) and
-#      /metrics carries the shard.* families while ingest runs,
+# server, a metrics dump and a trace attached, then proves the sharded
+# surface end to end:
+#   1. /statusz renders the per-shard table (one row per shard), the
+#      shards' pipeline nodes and a WAL block, and /metrics carries the
+#      shard.* families while ingest runs,
 #   2. ingest exits 0 and prints the conservation ledger — every line
 #      routed to exactly one shard, router total == ingested total,
-#   3. one snapshot per shard lands at <snapshot>.shard-<i>,
+#   3. one snapshot per shard lands at <snapshot>.shard-<i>, and the
+#      --metrics-out/--trace-out files exist, the metrics holding each
+#      shard's node and WAL gauges (shard.0.node.*, shard.0.wal.*),
 #   4. a full-domain `query --shards=4` fans out to all 4 shards with a
 #      balanced per-shard ledger (exit 2 on ledger mismatch),
 #   5. a narrow in-slice query probes exactly 1 shard and prunes 3.
@@ -40,6 +44,7 @@ LINES=120000
   --shards=4 --shard-by=range \
   --data-dir="$WORK/dd" --fsync=never \
   --obs-addr=127.0.0.1:0 \
+  --metrics-out="$WORK/metrics.json" --trace-out="$WORK/trace.json" \
   >"$WORK/out.log" 2>"$WORK/err.log" &
 PID=$!
 
@@ -65,6 +70,10 @@ for needle in '"shards":[{"shard":0' '"shard":1' '"shard":2' '"shard":3' \
               '"ingress_capacity"' '"ingress_watermark"' '"view_epoch"'; do
   echo "$STATUSZ" | grep -qF "$needle" || fail "/statusz missing $needle"
 done
+echo "$STATUSZ" | grep -qF '"nodes":[{"name":"shard.0.' \
+  || fail "/statusz has no per-shard pipeline nodes"
+echo "$STATUSZ" | grep -qE '"wal":\{"frames":[1-9]' \
+  || fail "/statusz WAL block shows no frames"
 
 # shard.* families on the Prometheus scrape (router counter is hot-path,
 # present as soon as the first batch routes; poll for it).
@@ -93,6 +102,12 @@ grep -q "conservation: $LINES ingested == $LINES routed" "$WORK/out.log" \
 for i in 0 1 2 3; do
   [[ -s "$WORK/snapshot.bin.shard-$i" ]] || fail "missing snapshot.bin.shard-$i"
 done
+[[ -s "$WORK/metrics.json" ]] || fail "--metrics-out file missing"
+[[ -s "$WORK/trace.json" ]] || fail "--trace-out file missing"
+grep -q '"shard\.0\.node\.' "$WORK/metrics.json" \
+  || fail "metrics file has no shard.0.node.* gauges"
+grep -q '"shard\.0\.wal\.' "$WORK/metrics.json" \
+  || fail "metrics file has no shard.0.wal.* gauges"
 echo "== conservation ledger balanced ($LINES records), 4 shard snapshots"
 
 # 4. Full-domain fan-out: all 4 shards probed, ledger must balance

@@ -1,5 +1,7 @@
 #include "durability/metrics.h"
 
+#include <string>
+
 #include "telemetry/telemetry.h"
 
 #if FRESQUE_TELEMETRY_ENABLED
@@ -11,10 +13,10 @@ namespace durability {
 
 #if FRESQUE_TELEMETRY_ENABLED
 
-void ExportToRegistry(const DurabilityMetrics& m) {
+void ExportToRegistry(const DurabilityMetrics& m, std::string_view prefix) {
   auto* reg = telemetry::Registry::Global();
-  auto set = [reg](const char* name, uint64_t v) {
-    reg->GetGauge(name)->Set(static_cast<int64_t>(v));
+  auto set = [reg, prefix](const char* name, uint64_t v) {
+    reg->GetGauge(std::string(prefix) + name)->Set(static_cast<int64_t>(v));
   };
   set("wal.frames", m.wal_frames);
   set("wal.record_batches", m.wal_record_batches);
@@ -32,7 +34,7 @@ void ExportToRegistry(const DurabilityMetrics& m) {
 
 #else  // !FRESQUE_TELEMETRY_ENABLED
 
-void ExportToRegistry(const DurabilityMetrics&) {}
+void ExportToRegistry(const DurabilityMetrics&, std::string_view) {}
 
 #endif  // FRESQUE_TELEMETRY_ENABLED
 

@@ -2,6 +2,7 @@
 #define FRESQUE_DURABILITY_METRICS_H_
 
 #include <cstdint>
+#include <string_view>
 
 namespace fresque {
 namespace durability {
@@ -36,11 +37,12 @@ struct DurabilityMetrics {
 };
 
 /// Publishes a DurabilityMetrics snapshot into the process-wide telemetry
-/// registry as gauges under "wal.*" / "snapshot.*" / "recovery.*", next
+/// registry as gauges under "<prefix>wal.*" / "<prefix>snapshot.*" /
+/// "<prefix>recovery.*" (a sharded deployment passes "shard.<i>."), next
 /// to the native wal.fsync_ns / wal.commit_ns / snapshot.write_ns
 /// histograms the hot path records directly. No-op when built with
 /// FRESQUE_TELEMETRY=OFF.
-void ExportToRegistry(const DurabilityMetrics& m);
+void ExportToRegistry(const DurabilityMetrics& m, std::string_view prefix);
 
 }  // namespace durability
 }  // namespace fresque

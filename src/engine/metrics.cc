@@ -1,5 +1,7 @@
 #include "engine/metrics.h"
 
+#include <string>
+
 #include "telemetry/telemetry.h"
 
 #if FRESQUE_TELEMETRY_ENABLED
@@ -11,10 +13,10 @@ namespace engine {
 
 #if FRESQUE_TELEMETRY_ENABLED
 
-void ExportToRegistry(const CollectorMetrics& m) {
+void ExportToRegistry(const CollectorMetrics& m, std::string_view prefix) {
   auto* reg = telemetry::Registry::Global();
-  auto set = [reg](const std::string& name, int64_t v) {
-    reg->GetGauge(name)->Set(v);
+  auto set = [reg, prefix](const std::string& name, int64_t v) {
+    reg->GetGauge(std::string(prefix) + name)->Set(v);
   };
   for (const NodeMetrics& n : m.nodes) {
     const std::string p = "node." + n.name + ".";
@@ -54,7 +56,7 @@ void ExportToRegistry(const CollectorMetrics& m) {
 
 #else  // !FRESQUE_TELEMETRY_ENABLED
 
-void ExportToRegistry(const CollectorMetrics&) {}
+void ExportToRegistry(const CollectorMetrics&, std::string_view) {}
 
 #endif  // FRESQUE_TELEMETRY_ENABLED
 

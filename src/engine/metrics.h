@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fresque {
@@ -130,13 +131,14 @@ struct IngestStats {
 /// Publishes a CollectorMetrics snapshot into the process-wide telemetry
 /// registry (telemetry/metrics.h), making the collector's node/queue
 /// state visible to the Prometheus/JSON exporters alongside the native
-/// hot-path counters. Gauge names: "node.<name>.queue_depth",
-/// "node.<name>.queue_high_watermark", "node.<name>.frames_processed";
-/// totals land under "collector.*". Snapshot-style totals that are also
-/// counted natively (parse_errors, pending_dropped...) are exported as
-/// gauges under distinct "collector.snapshot.*" names so the two sources
+/// hot-path counters. Every gauge name starts with `prefix` (a sharded
+/// deployment passes "shard.<i>." so shards never overwrite each other):
+/// "<prefix>node.<name>.queue_depth", "...queue_high_watermark",
+/// "...frames_processed" and so on per node. Snapshot-style totals that
+/// are also counted natively (parse_errors, pending_dropped...) land
+/// under distinct "<prefix>collector.snapshot.*" names so the two sources
 /// never collide. No-op when built with FRESQUE_TELEMETRY=OFF.
-void ExportToRegistry(const CollectorMetrics& m);
+void ExportToRegistry(const CollectorMetrics& m, std::string_view prefix);
 
 }  // namespace engine
 }  // namespace fresque

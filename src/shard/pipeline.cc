@@ -10,7 +10,9 @@
 namespace fresque {
 namespace shard {
 
-std::string ShardDataDir(const std::string& data_dir, size_t i) {
+std::string ShardDataDir(const std::string& data_dir, size_t i,
+                         size_t num_shards) {
+  if (num_shards == 1) return data_dir;
   return data_dir + "/shard-" + std::to_string(i);
 }
 
@@ -68,7 +70,7 @@ Status ShardedPipeline::Start() {
         std::make_unique<BoundedQueue<IngressFrame>>(config_.ingress_capacity);
 
     if (config_.durability.enabled()) {
-      const std::string dir = ShardDataDir(config_.durability.data_dir, i);
+      const std::string dir = ShardDataDir(config_.durability.data_dir, i, n);
       std::error_code ec;
       std::filesystem::create_directories(dir, ec);
       durability::WalOptions wopts;
@@ -155,6 +157,7 @@ void ShardedPipeline::WorkerLoop(Shard* s) {
         if (Status ps = s->collector->Publish(); !ps.ok()) NoteError(ps);
         open_lines = 0;
       } else {
+        s->collector->SetIntervalProgress(f.progress);
         Status is = s->collector->Ingest(f.line, f.priority, f.born_ns);
         if (is.ok()) {
           ++open_lines;
@@ -166,15 +169,17 @@ void ShardedPipeline::WorkerLoop(Shard* s) {
       }
     }
   }
-  const uint64_t last_pn = s->collector->current_publication();
+  const uint64_t open_pn = s->collector->current_publication();
   if (Status ss = s->collector->Shutdown(); !ss.ok()) {
     NoteError(ss);
     return;
   }
-  if (open_lines > 0) {
-    // Shutdown() published the open interval; wait for the cloud ack so
-    // callers returning from ShardedPipeline::Shutdown can query (or
-    // snapshot) a complete store.
+  // Wait for the ack of the last publication this shard shipped — the
+  // open interval Shutdown() just published, else the last barrier — so
+  // callers returning from ShardedPipeline::Shutdown query (or snapshot)
+  // a complete store and read settled publication counts.
+  if (open_lines > 0 || open_pn > 0) {
+    const uint64_t last_pn = open_lines > 0 ? open_pn : open_pn - 1;
     Status acked = s->collector->WaitForPublication(last_pn,
                                                     std::chrono::seconds(30));
     if (!acked.ok()) NoteError(acked);
@@ -194,6 +199,7 @@ Status ShardedPipeline::Ingest(std::string_view line,
   f.line.assign(line.data(), line.size());
   f.priority = priority;
   f.born_ns = intended_born_ns;
+  f.progress = progress_;
   buf.push_back(std::move(f));
 #if FRESQUE_TELEMETRY_ENABLED
   shards_[d.shard]->records_in->Add(1);
@@ -240,6 +246,21 @@ Status ShardedPipeline::Shutdown() {
   StopAll();
   ExportTelemetry();
   return first_error();
+}
+
+Status ShardedPipeline::WriteSnapshots() {
+  if (!shut_down_) {
+    return Status::FailedPrecondition("WriteSnapshots() needs Shutdown()");
+  }
+  for (auto& s : shards_) {
+    if (s->snapshots == nullptr) continue;
+    if (Status st = s->snapshots->WriteSnapshot(); !st.ok()) {
+      return Status::Internal("shard " + std::to_string(s->index) +
+                              " snapshot: " + st.ToString());
+    }
+  }
+  ExportTelemetry();  // the wal.* / snapshot.* gauges now include it
+  return Status::OK();
 }
 
 void ShardedPipeline::StopAll() {
@@ -290,9 +311,9 @@ ShardedPipelineMetrics ShardedPipeline::Metrics() const {
     sm.ingress_high_watermark = s->ingress->high_watermark();
     sm.ingress_capacity = s->ingress->capacity();
     sm.view_epoch = cloud_->shard(i)->view_epoch();
-    sm.publications = cloud_->shard(i)->num_publications();
     sm.records = cloud_->shard(i)->total_records();
     sm.collector = s->collector->Metrics();
+    sm.durability = s->cloud_node->durability_metrics();
     m.shards.push_back(std::move(sm));
   }
   return m;
@@ -302,18 +323,20 @@ void ShardedPipeline::ExportTelemetry() const {
 #if FRESQUE_TELEMETRY_ENABLED
   auto* reg = telemetry::Registry::Global();
   reg->GetGauge("shard.count")->Set(static_cast<int64_t>(shards_.size()));
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const std::string prefix = "shard." + std::to_string(i) + ".";
-    reg->GetGauge(prefix + "ingress_depth")
-        ->Set(static_cast<int64_t>(shards_[i]->ingress->size()));
-    reg->GetGauge(prefix + "ingress_high_watermark")
-        ->Set(static_cast<int64_t>(shards_[i]->ingress->high_watermark()));
-    reg->GetGauge(prefix + "view_epoch")
-        ->Set(static_cast<int64_t>(cloud_->shard(i)->view_epoch()));
-    reg->GetGauge(prefix + "publications")
-        ->Set(static_cast<int64_t>(cloud_->shard(i)->num_publications()));
-    reg->GetGauge(prefix + "records")
-        ->Set(static_cast<int64_t>(cloud_->shard(i)->total_records()));
+  for (const ShardMetrics& sm : Metrics().shards) {
+    const std::string prefix = "shard." + std::to_string(sm.shard) + ".";
+    auto set = [&](const char* name, uint64_t v) {
+      reg->GetGauge(prefix + name)->Set(static_cast<int64_t>(v));
+    };
+    set("ingress_depth", sm.ingress_depth);
+    set("ingress_high_watermark", sm.ingress_high_watermark);
+    set("view_epoch", sm.view_epoch);
+    set("publications", sm.collector.publications_completed);
+    set("records", sm.records);
+    engine::ExportToRegistry(sm.collector, prefix);
+    if (config_.durability.enabled()) {
+      durability::ExportToRegistry(sm.durability, prefix);
+    }
   }
 #endif
 }
@@ -332,11 +355,13 @@ Result<RecoveredShardedCloud> RecoverShardedCloud(
     // durable, or ran with fewer shards) is "no durable state", not an
     // I/O error: the shard comes back empty, like an empty directory.
     std::error_code ec;
-    if (!std::filesystem::exists(ShardDataDir(data_dir, i), ec)) {
+    const std::string dir =
+        ShardDataDir(data_dir, i, placement->num_shards());
+    if (!std::filesystem::exists(dir, ec)) {
       out.shards.push_back(rs);
       continue;
     }
-    auto rec = durability::RecoveryManager::Recover(ShardDataDir(data_dir, i));
+    auto rec = durability::RecoveryManager::Recover(dir);
     if (rec.ok()) {
       rs.recovered = true;
       rs.stats = rec->stats;

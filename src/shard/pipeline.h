@@ -1,6 +1,7 @@
 #ifndef FRESQUE_SHARD_PIPELINE_H_
 #define FRESQUE_SHARD_PIPELINE_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -15,6 +16,7 @@
 #include "common/result.h"
 #include "common/thread_annotations.h"
 #include "crypto/key_manager.h"
+#include "durability/metrics.h"
 #include "durability/recovery.h"
 #include "durability/snapshot_manager.h"
 #include "durability/wal.h"
@@ -39,10 +41,11 @@ struct ShardedPipelineConfig {
 
   ShardOptions shard;
 
-  /// Root data dir; shard `i` persists under `<data_dir>/shard-<i>`.
-  /// The directory must be fresh (or recovered read-only first): the
-  /// pipeline always starts publication numbering at 0. Empty disables
-  /// durability.
+  /// Root data dir, laid out by ShardDataDir: a one-shard pipeline
+  /// persists at the root itself, shard `i` of N > 1 under
+  /// `<data_dir>/shard-<i>`. The directory must be fresh (or recovered
+  /// read-only first): the pipeline always starts publication numbering
+  /// at 0. Empty disables durability.
   engine::DurabilityConfig durability;
 
   /// Capacity of each shard's ingress queue (router -> shard worker).
@@ -64,9 +67,11 @@ struct ShardMetrics {
   size_t ingress_high_watermark = 0;
   size_t ingress_capacity = 0;
   uint64_t view_epoch = 0;
-  size_t publications = 0;
   size_t records = 0;
+  /// Installed publications are `collector.publications_completed`.
   engine::CollectorMetrics collector;
+  /// All zero when durability is off.
+  durability::DurabilityMetrics durability;
 };
 
 struct ShardedPipelineMetrics {
@@ -84,9 +89,14 @@ struct ShardedPipelineMetrics {
 /// collector's single-caller contract while the shards run genuinely in
 /// parallel.
 ///
-/// Thread-safety: Start/Ingest/Publish/Shutdown must be called from one
-/// (router) thread, mirroring FresqueCollector's contract. Metrics(),
-/// WaitForPublication() and cloud() queries are safe from any thread.
+/// One shard is the unsharded deployment: the same chain behind a
+/// one-way router, persisting at the root of the data dir.
+///
+/// Thread-safety: Start/Ingest/SetIntervalProgress/Publish/Shutdown/
+/// WriteSnapshots must be called from one (router) thread, mirroring
+/// FresqueCollector's contract. Metrics(), ExportTelemetry(),
+/// current_publication(), WaitForPublication() and cloud() queries are
+/// safe from any thread.
 ///
 /// Barrier alignment: Publish() enqueues a publish frame on every shard's
 /// ingress queue behind all previously routed lines, so every shard's
@@ -113,6 +123,11 @@ class ShardedPipeline {
       engine::IngestPriority priority = engine::IngestPriority::kNormal,
       int64_t intended_born_ns = 0);
 
+  /// How far the current interval has progressed, in [0, 1]. Stamped on
+  /// every line routed from now on; each shard's worker forwards it to
+  /// its collector's dummy schedule before ingesting the line.
+  void SetIntervalProgress(double fraction) { progress_ = fraction; }
+
   /// Ends the current publishing interval on every shard (asynchronous:
   /// the barrier frame queues behind routed lines; shards publish as they
   /// drain to it).
@@ -125,6 +140,12 @@ class ShardedPipeline {
   /// error any shard hit.
   Status Shutdown();
 
+  /// Snapshots every shard's store into its data dir and truncates the
+  /// WAL prefix the snapshot covers (SnapshotManager::WriteSnapshot), so
+  /// the data dir converges to snapshot + empty tail. Call after
+  /// Shutdown(); a no-op without durability.
+  Status WriteSnapshots();
+
   /// Blocks until publication `pn` reaches a terminal state on *every*
   /// shard. Safe from any thread.
   Status WaitForPublication(
@@ -133,7 +154,7 @@ class ShardedPipeline {
 
   /// Publication the router is currently filling (== every shard's open
   /// publication once its queue drains).
-  uint64_t current_publication() const { return pn_; }
+  uint64_t current_publication() const { return pn_.load(); }
 
   /// The sharded cloud facade (valid after Start()). Queries are safe
   /// while ingest runs.
@@ -147,11 +168,14 @@ class ShardedPipeline {
 
   ShardedPipelineMetrics Metrics() const;
 
-  /// Pushes the `shard.*` gauge families (per-shard ingress watermarks,
-  /// view epochs, publication/record totals) into the global telemetry
-  /// registry. Counters (`shard.router.*`, `shard.<i>.records_in`) are
-  /// maintained on the hot path; this fills in the scrape-time gauges.
-  /// Safe from any thread; no-op with telemetry compiled out.
+  /// Pushes the `shard.*` gauge families into the global telemetry
+  /// registry: per-shard ingress watermarks, view epochs, publication and
+  /// record totals, plus each shard's collector (`shard.<i>.node.*`,
+  /// `shard.<i>.collector.snapshot.*`) and, with durability, WAL state
+  /// (`shard.<i>.wal.*`, `.snapshot.*`, `.recovery.*`). Counters
+  /// (`shard.router.*`, `shard.<i>.records_in`) are maintained on the hot
+  /// path; this fills in the scrape-time gauges. Safe from any thread;
+  /// no-op with telemetry compiled out.
   void ExportTelemetry() const;
 
   const ShardedPipelineConfig& config() const { return config_; }
@@ -163,6 +187,7 @@ class ShardedPipeline {
     std::string line;
     engine::IngestPriority priority = engine::IngestPriority::kNormal;
     int64_t born_ns = 0;
+    double progress = 0;
   };
 
   struct Shard;
@@ -185,8 +210,11 @@ class ShardedPipeline {
   // fresque-lint: allow(guarded-by) confined to the single caller thread (the class's Start/Ingest/Publish/Shutdown contract)
   std::vector<std::vector<IngressFrame>> route_buf_;
 
+  /// Written by the caller thread only; atomic so status readers on
+  /// other threads may load it.
+  std::atomic<uint64_t> pn_{0};
   // fresque-lint: allow(guarded-by) caller-thread confined, same contract as route_buf_
-  uint64_t pn_ = 0;
+  double progress_ = 0;
   // fresque-lint: allow(guarded-by) caller-thread confined, same contract as route_buf_
   bool started_ = false;
   // fresque-lint: allow(guarded-by) caller-thread confined, same contract as route_buf_
@@ -196,8 +224,11 @@ class ShardedPipeline {
   Status first_error_ FRESQUE_GUARDED_BY(mu_);
 };
 
-/// Returns `<data_dir>/shard-<i>`, the durability directory of shard i.
-std::string ShardDataDir(const std::string& data_dir, size_t i);
+/// The durability directory of shard `i` of `num_shards`: `data_dir`
+/// itself for a one-shard pipeline (the unsharded layout `recover` and
+/// `wal-dump` read), `<data_dir>/shard-<i>` otherwise.
+std::string ShardDataDir(const std::string& data_dir, size_t i,
+                         size_t num_shards);
 
 /// Per-shard outcome of RecoverShardedCloud.
 struct RecoveredShardStats {
@@ -214,7 +245,7 @@ struct RecoveredShardedCloud {
 };
 
 /// Rebuilds the sharded cloud from per-shard durability directories
-/// (`<data_dir>/shard-<i>`), replaying each shard's snapshot + WAL tail
+/// (ShardDataDir), replaying each shard's snapshot + WAL tail
 /// through RecoveryManager. Shard directories with no durable state
 /// recover as empty shards; damaged ones fail the whole recovery.
 Result<RecoveredShardedCloud> RecoverShardedCloud(

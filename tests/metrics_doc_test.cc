@@ -3,11 +3,12 @@
 // registry is populated the way a live process populates it, then asserts
 //   1. every registered metric name matches ^[a-z0-9_.]+$ (the exporter
 //      sanitizer is then a pure '.'->'_' rewrite, collision-free), and
-//   2. every `query.*`, `pipeline.*` and `slo.*` metric is documented in
-//      docs/METRICS.md — adding a metric in those families without
-//      documenting it fails this test.
+//   2. every `query.*`, `pipeline.*`, `slo.*` and `shard.*` metric is
+//      documented in docs/METRICS.md — adding a metric in those families
+//      without documenting it fails this test.
 
 #include <cctype>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -18,9 +19,9 @@
 #include "client/client.h"
 #include "cloud/server.h"
 #include "crypto/key_manager.h"
+#include "durability/wal.h"
 #include "engine/cloud_node.h"
 #include "engine/fresque_collector.h"
-#include "engine/metrics.h"
 #include "obs/sampler.h"
 #include "query/executor.h"
 #include "record/dataset.h"
@@ -52,7 +53,10 @@ bool HasDocPrefix(const std::string& name) {
 
 /// Doc-lookup form of a metric name: the per-shard families embed the
 /// shard index (`shard.3.records_in`), documented once as
-/// `shard.i.records_in`. Everything else passes through unchanged.
+/// `shard.i.records_in`, and the per-node gauges embed the node name
+/// (`shard.0.node.cn1.queue_depth`), documented once as
+/// `shard.i.node.<name>.queue_depth`. Everything else passes through
+/// unchanged.
 std::string CanonicalName(const std::string& name) {
   constexpr const char kShard[] = "shard.";
   if (name.rfind(kShard, 0) != 0) return name;
@@ -64,6 +68,12 @@ std::string CanonicalName(const std::string& name) {
   }
   std::string canon = "shard.i";
   canon.append(name, dot, std::string::npos);
+  constexpr const char kNode[] = "shard.i.node.";
+  if (canon.rfind(kNode, 0) == 0) {
+    const size_t node = sizeof(kNode) - 1;
+    const size_t end = canon.find('.', node);
+    if (end != std::string::npos) canon.replace(node, end - node, "<name>");
+  }
   return canon;
 }
 
@@ -100,7 +110,6 @@ class MetricsDocTest : public ::testing::Test {
     ASSERT_TRUE(collector.Shutdown().ok());
     cloud_node.Shutdown();
     ASSERT_TRUE(cloud_node.first_error().ok());
-    engine::ExportToRegistry(collector.Metrics());
 
     // Query engine: registers the query.* family.
     query::QueryExecutor executor(
@@ -114,15 +123,20 @@ class MetricsDocTest : public ::testing::Test {
     ASSERT_TRUE(result.ok());
     executor.Shutdown();
 
-    // Sharded mini-pipeline: registers the shard.* family the way a
-    // --shards deployment does (router counters + ExportTelemetry
-    // gauges, DESIGN.md §17).
+    // Sharded mini-pipeline: registers the shard.* family the way every
+    // CLI deployment does (router counters + ExportTelemetry gauges,
+    // per-shard node/collector/WAL state included, DESIGN.md §17).
     {
+      const std::string dd =
+          std::string(::testing::TempDir()) + "/metrics_doc_dd";
+      std::filesystem::remove_all(dd);
       shard::ShardedPipelineConfig scfg;
       scfg.collector.dataset = *spec;
       scfg.collector.num_computing_nodes = 2;
       scfg.collector.seed = 8;
       scfg.shard.num_shards = 2;
+      scfg.durability.data_dir = dd;
+      scfg.durability.fsync_policy = durability::FsyncPolicy::kNever;
       shard::ShardedPipeline pipe(scfg, keys);
       ASSERT_TRUE(pipe.Start().ok());
       for (uint64_t i = 0; i < 200; ++i) {
@@ -130,6 +144,7 @@ class MetricsDocTest : public ::testing::Test {
       }
       ASSERT_TRUE(pipe.Shutdown().ok());
       pipe.ExportTelemetry();
+      std::filesystem::remove_all(dd);
     }
 
     // Sampler fold: registers pipeline.e2e_p* / ingest.lag_ms / slo.*.

@@ -126,9 +126,13 @@ TEST(AdaptiveBatchingTest, StaysLatencyFirstAtLowLoad) {
       net::BatchOptions::Adaptive(64, std::chrono::microseconds(500)));
   node.Start();
   // Sparse traffic: one frame at a time with real gaps. The controller
-  // must keep the effective batch near 1 and never engage linger.
-  for (int i = 0; i < 200; ++i) {
+  // must keep the effective batch near 1 and never engage linger. Each
+  // gap starts only once the node has handled every frame pushed so far,
+  // so a descheduled node thread cannot wake to a backlog this test means
+  // to exclude.
+  for (uint64_t i = 1; i <= 200; ++i) {
     inbox->Push(RawFrame());
+    while (handled.load() < i) std::this_thread::yield();
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
   EXPECT_LE(node.effective_batch(), 2u);

@@ -2,17 +2,21 @@
 // running with per-shard durability directories must come back from
 // RecoverShardedCloud with byte-identical query results — WAL replay is
 // deterministic, so the recovered ciphertext set equals the live one
-// exactly, per shard and merged.
+// exactly, per shard and merged. One shard persists at the data dir root,
+// where the plain RecoveryManager reads the same store back.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "client/client.h"
 #include "crypto/key_manager.h"
+#include "durability/recovery.h"
 #include "record/dataset.h"
 #include "shard/pipeline.h"
 #include "shard/sharded_cloud.h"
@@ -43,48 +47,80 @@ std::vector<std::pair<uint64_t, Bytes>> Canonical(
   return out;
 }
 
-TEST(ShardRecoveryTest, DrainRestartRecoversByteIdenticalState) {
-  auto spec_or = record::GowallaDataset();
-  ASSERT_TRUE(spec_or.ok());
-  const auto spec = std::move(spec_or).ValueOrDie();
-  const std::string dir = FreshDir("shard_recovery_live");
+/// What a durable pipeline run left behind, read before it was destroyed.
+struct LiveRun {
+  std::vector<size_t> shard_records;
+  size_t publications = 0;
+  std::vector<std::pair<uint64_t, Bytes>> merged;
+  /// Shard 0's store, saved with SaveSnapshot next to the data dir.
+  std::string shard0_snapshot;
+};
 
+constexpr size_t kLines = 1800;
+
+shard::ShardedPipelineConfig DurableConfig(const record::DatasetSpec& spec,
+                                           size_t num_shards,
+                                           const std::string& dir) {
   shard::ShardedPipelineConfig cfg;
   cfg.collector.dataset = spec;
   cfg.collector.num_computing_nodes = 2;
   cfg.collector.seed = 17;
-  cfg.shard.num_shards = 3;
+  cfg.shard.num_shards = num_shards;
   cfg.durability.data_dir = dir;
-  crypto::KeyManager keys(Bytes(32, 0x42));
+  return cfg;
+}
 
-  constexpr size_t kLines = 1800;
-  std::vector<size_t> live_shard_records;
-  size_t live_pubs = 0;
-  std::vector<std::pair<uint64_t, Bytes>> live_merged;
-  const index::RangeQuery all{spec.domain_min, spec.domain_max};
-  {
-    shard::ShardedPipeline pipe(cfg, keys);
-    ASSERT_TRUE(pipe.Start().ok());
-    auto gen = record::MakeGenerator(spec, 808);
-    ASSERT_TRUE(gen.ok());
-    for (size_t i = 0; i < kLines; ++i) {
-      ASSERT_TRUE(pipe.Ingest((*gen)->NextLine()).ok());
-      if (i + 1 == kLines / 2) {
+/// Ingests kLines with one mid-run barrier, drains, and records the live
+/// state (per-shard records, publications, full-domain ciphertexts).
+void RunDurable(const shard::ShardedPipelineConfig& cfg,
+                const crypto::KeyManager& keys, LiveRun* out) {
+  const auto& spec = cfg.collector.dataset;
+  shard::ShardedPipeline pipe(cfg, keys);
+  ASSERT_TRUE(pipe.Start().ok());
+  auto gen = record::MakeGenerator(spec, 808);
+  ASSERT_TRUE(gen.ok());
+  for (size_t i = 0; i < kLines; ++i) {
+    ASSERT_TRUE(pipe.Ingest((*gen)->NextLine()).ok());
+    if (i + 1 == kLines / 2) {
       ASSERT_TRUE(pipe.Publish().ok());
     }
-    }
-    ASSERT_TRUE(pipe.Shutdown().ok()) << pipe.first_error().ToString();
+  }
+  ASSERT_TRUE(pipe.Shutdown().ok()) << pipe.first_error().ToString();
 
-    live_pubs = pipe.cloud()->num_publications();
-    EXPECT_EQ(live_pubs, 2u);
-    for (size_t s = 0; s < 3; ++s) {
-      live_shard_records.push_back(pipe.cloud()->shard(s)->total_records());
-      // Per-shard durability directories exist and are named by contract.
-      EXPECT_TRUE(fs::exists(shard::ShardDataDir(dir, s))) << s;
-    }
-    auto res = pipe.cloud()->ExecuteQuery(all);
-    ASSERT_TRUE(res.ok());
-    live_merged = Canonical(*res);
+  out->publications = pipe.cloud()->num_publications();
+  for (size_t s = 0; s < cfg.shard.num_shards; ++s) {
+    out->shard_records.push_back(pipe.cloud()->shard(s)->total_records());
+  }
+  auto res = pipe.cloud()->ExecuteQuery({spec.domain_min, spec.domain_max});
+  ASSERT_TRUE(res.ok());
+  out->merged = Canonical(*res);
+  out->shard0_snapshot = cfg.durability.data_dir + "/../live-shard0.bin";
+  ASSERT_TRUE(pipe.cloud()->shard(0)->SaveSnapshot(out->shard0_snapshot).ok());
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(ShardRecoveryTest, DrainRestartRecoversByteIdenticalState) {
+  auto spec_or = record::GowallaDataset();
+  ASSERT_TRUE(spec_or.ok());
+  const auto spec = std::move(spec_or).ValueOrDie();
+  const std::string dir = FreshDir("shard_recovery_live/dd");
+  const auto cfg = DurableConfig(spec, 3, dir);
+  crypto::KeyManager keys(Bytes(32, 0x42));
+  const index::RangeQuery all{spec.domain_min, spec.domain_max};
+
+  LiveRun live;
+  ASSERT_NO_FATAL_FAILURE(RunDurable(cfg, keys, &live));
+  EXPECT_EQ(live.publications, 2u);
+  // Per-shard durability directories exist and are named by contract.
+  for (size_t s = 0; s < 3; ++s) {
+    EXPECT_TRUE(fs::exists(shard::ShardDataDir(dir, s, 3))) << s;
+    EXPECT_EQ(shard::ShardDataDir(dir, s, 3),
+              dir + "/shard-" + std::to_string(s));
   }
 
   auto rec = shard::RecoverShardedCloud(dir, spec, cfg.shard);
@@ -96,10 +132,10 @@ TEST(ShardRecoveryTest, DrainRestartRecoversByteIdenticalState) {
         << "shard " << s.shard << " recovered no state";
   }
   for (size_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(rec->cloud->shard(s)->total_records(), live_shard_records[s])
+    EXPECT_EQ(rec->cloud->shard(s)->total_records(), live.shard_records[s])
         << "shard " << s;
   }
-  EXPECT_EQ(rec->cloud->num_publications(), live_pubs);
+  EXPECT_EQ(rec->cloud->num_publications(), live.publications);
 
   // Byte-identical merged query: WAL replay restores the exact ciphertext
   // stream, so the fanned-out result must match the live one as a
@@ -109,7 +145,7 @@ TEST(ShardRecoveryTest, DrainRestartRecoversByteIdenticalState) {
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(stats.probed.size(), 3u);
   EXPECT_EQ(stats.TotalRecords(), res->TotalRecords());
-  EXPECT_EQ(Canonical(*res), live_merged);
+  EXPECT_EQ(Canonical(*res), live.merged);
 
   // And the client's keys still decrypt the recovered result.
   client::Client client(keys, &spec.parser->schema());
@@ -117,6 +153,51 @@ TEST(ShardRecoveryTest, DrainRestartRecoversByteIdenticalState) {
   ASSERT_TRUE(recs.ok());
   EXPECT_GE(recs->size(), kLines * 7 / 10);
   EXPECT_LE(recs->size(), kLines);
+}
+
+TEST(ShardRecoveryTest, OneShardPersistsAtTheRootAndRecoversBothWays) {
+  // One shard is the unsharded deployment: its WAL and MANIFEST sit at
+  // the data dir root, so the plain RecoveryManager (the `recover`
+  // command's path) and RecoverShardedCloud rebuild the same store.
+  auto spec_or = record::GowallaDataset();
+  ASSERT_TRUE(spec_or.ok());
+  const auto spec = std::move(spec_or).ValueOrDie();
+  const std::string dir = FreshDir("shard_recovery_one/dd");
+  const auto cfg = DurableConfig(spec, 1, dir);
+  crypto::KeyManager keys(Bytes(32, 0x42));
+  const index::RangeQuery all{spec.domain_min, spec.domain_max};
+
+  LiveRun live;
+  ASSERT_NO_FATAL_FAILURE(RunDurable(cfg, keys, &live));
+  EXPECT_EQ(live.publications, 2u);
+  EXPECT_EQ(shard::ShardDataDir(dir, 0, 1), dir);
+  EXPECT_FALSE(fs::exists(dir + "/shard-0"));
+  bool root_wal = false;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    if (e.path().filename().string().rfind("wal-", 0) == 0) root_wal = true;
+  }
+  EXPECT_TRUE(root_wal) << "no WAL segment at the data dir root";
+
+  auto plain = durability::RecoveryManager::Recover(dir);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  auto sharded = shard::RecoverShardedCloud(dir, spec, cfg.shard);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ASSERT_EQ(sharded->shards.size(), 1u);
+  EXPECT_TRUE(sharded->shards[0].recovered);
+
+  const std::string plain_path = dir + "/../plain.bin";
+  const std::string sharded_path = dir + "/../sharded.bin";
+  ASSERT_TRUE(plain->server->SaveSnapshot(plain_path).ok());
+  ASSERT_TRUE(sharded->cloud->shard(0)->SaveSnapshot(sharded_path).ok());
+  const std::string live_bytes = FileBytes(live.shard0_snapshot);
+  ASSERT_FALSE(live_bytes.empty());
+  EXPECT_EQ(FileBytes(plain_path), live_bytes);
+  EXPECT_EQ(FileBytes(sharded_path), live_bytes);
+
+  auto res = plain->server->ExecuteQuery(all);
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(Canonical(*res), live.merged);
+  EXPECT_EQ(plain->server->total_records(), live.shard_records[0]);
 }
 
 TEST(ShardRecoveryTest, FreshDirectoryRecoversEmptyUsableShards) {

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "client/client.h"
@@ -20,6 +22,8 @@
 #include "shard/pipeline.h"
 #include "shard/router.h"
 #include "shard/sharded_cloud.h"
+#include "telemetry/metrics.h"
+#include "telemetry/telemetry.h"
 
 namespace fresque {
 namespace {
@@ -476,6 +480,78 @@ TEST(ShardedPipelineTest, UnparsableLinesBecomeShardParseErrorsNotDrops) {
     parse_errors += s.collector.parse_errors;
   }
   EXPECT_EQ(parse_errors, 5u);
+}
+
+TEST(ShardedPipelineTest, IntervalProgressReleasesDummiesBeforePublish) {
+#if !FRESQUE_TELEMETRY_ENABLED
+  GTEST_SKIP() << "telemetry compiled out: ingest.dummy_records not counted";
+#else
+  auto spec = Gowalla();
+  shard::ShardedPipelineConfig cfg;
+  cfg.collector.dataset = spec;
+  cfg.collector.num_computing_nodes = 2;
+  cfg.shard.num_shards = 2;
+  crypto::KeyManager keys(Bytes(32, 0x42));
+  shard::ShardedPipeline pipe(cfg, keys);
+  ASSERT_TRUE(pipe.Start().ok());
+  auto* dummies =
+      telemetry::Registry::Global()->GetCounter("ingest.dummy_records");
+  const uint64_t before = dummies->Value();
+
+  // The whole interval has elapsed: the next line each shard ingests
+  // releases every dummy its schedule holds. Enough lines that both
+  // shards' router buffers reach their workers without a barrier.
+  pipe.SetIntervalProgress(1.0);
+  auto gen = record::MakeGenerator(spec, 55);
+  ASSERT_TRUE(gen.ok());
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(pipe.Ingest((*gen)->NextLine()).ok());
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (dummies->Value() == before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(dummies->Value(), before)
+      << "no dummy released before Publish()";
+  ASSERT_TRUE(pipe.Publish().ok());
+  ASSERT_TRUE(pipe.Shutdown().ok()) << pipe.first_error().ToString();
+#endif
+}
+
+TEST(ShardedPipelineTest, AdmissionShedsOnTheShardAndIngestStaysOk) {
+  auto spec = Gowalla();
+  shard::ShardedPipelineConfig cfg;
+  cfg.collector.dataset = spec;
+  cfg.collector.num_computing_nodes = 2;
+  cfg.collector.admission.enabled = true;
+  cfg.collector.admission.rate_records_per_sec = 10;
+  cfg.collector.admission.burst_records = 10;
+  cfg.shard.num_shards = 2;
+  crypto::KeyManager keys(Bytes(32, 0x42));
+  shard::ShardedPipeline pipe(cfg, keys);
+  ASSERT_TRUE(pipe.Start().ok());
+  auto gen = record::MakeGenerator(spec, 66);
+  ASSERT_TRUE(gen.ok());
+  // Sheds happen on the shard's worker; the router-side Ingest never
+  // reports them.
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(pipe.Ingest((*gen)->NextLine()).ok());
+  }
+  ASSERT_TRUE(pipe.Shutdown().ok()) << pipe.first_error().ToString();
+
+  auto m = pipe.Metrics();
+  for (const auto& s : m.shards) {
+    // Each shard's bucket admits at most its burst plus what refills
+    // during the run; every other routed line is shed there.
+    if (s.routed <= 100) continue;
+    EXPECT_GT(s.collector.shed_records, 0u) << "shard " << s.shard;
+    EXPECT_LE(s.collector.shed_records, s.routed) << "shard " << s.shard;
+  }
+  EXPECT_GT(m.shards[0].collector.shed_records +
+                m.shards[1].collector.shed_records,
+            0u);
 }
 
 }  // namespace

@@ -15,6 +15,17 @@
 // `verify` operate on the persisted snapshot. The key (hex master secret,
 // default a fixed demo key) must match between ingest and query/verify.
 //
+// Sharding flags (apply to `ingest` and `query`, see DESIGN.md §17):
+//   --shards=<n>                collector pipelines behind the router
+//                               (default 1: the unsharded layout, one
+//                               snapshot and a root-level data dir);
+//                               n > 1 writes <snapshot.bin>.shard-<i> and
+//                               <data-dir>/shard-<i>. Every other ingest
+//                               flag applies to each shard
+//   --shard-by=range|hash       placement (default range)
+//   --epsilon-composition=auto|split|full
+//                               per-shard budget rule (ingest only)
+//
 // Durability flags (apply to `ingest`):
 //   --data-dir=<dir>      write-ahead log + snapshots live here; every
 //                         publication ack then implies the install is
@@ -59,8 +70,9 @@
 //                               controller and apply the batch/linger
 //                               knobs verbatim (the pre-adaptive behavior)
 //   --admission-rps=<rate>      enable admission control with a token
-//                               bucket capping the admitted rate; shed
-//                               lines are skipped and counted, not fatal
+//                               bucket capping each shard's admitted
+//                               rate; shed lines are skipped and counted,
+//                               not fatal
 //   --shed-watermarks=<lo>:<hi> queue-fill fractions above which kLow /
 //                               kNormal records are shed (default
 //                               0.50:0.85; only meaningful with
@@ -84,14 +96,14 @@
 #include "cloud/server.h"
 #include "common/bytes.h"
 #include "query/executor.h"
+#include "query/leaf_cache.h"
 #include "crypto/key_manager.h"
 #include "durability/metrics.h"
 #include "durability/recovery.h"
 #include "durability/snapshot_manager.h"
 #include "durability/wal.h"
-#include "engine/cloud_node.h"
 #include "engine/config.h"
-#include "engine/fresque_collector.h"
+#include "engine/metrics.h"
 #include "record/dataset.h"
 #include "shard/pipeline.h"
 #include "shard/sharded_cloud.h"
@@ -223,16 +235,13 @@ struct QueryCliOptions {
   size_t repeat = 1;         ///< --repeat (same range, reports latency)
 };
 
-/// `--shards` / `--shard-by` / `--epsilon-composition` (DESIGN.md §17).
-struct ShardCliOptions {
-  fresque::shard::ShardOptions opts;
-  bool sharded() const { return opts.num_shards > 1; }
-};
-
-/// Where shard `i` of a sharded ingest persists its snapshot: the
-/// unsharded path plus a `.shard-<i>` suffix, so `query --shards=N` can
-/// reassemble the fleet from the base path alone.
-std::string ShardSnapshotPath(const std::string& snap_path, size_t i) {
+/// Where shard `i` of an `num_shards`-shard ingest persists its
+/// snapshot: the base path itself for one shard, else the base path plus
+/// a `.shard-<i>` suffix, so `query --shards=N` can reassemble the fleet
+/// from the base path alone.
+std::string ShardSnapshotPath(const std::string& snap_path, size_t i,
+                              size_t num_shards) {
+  if (num_shards == 1) return snap_path;
   return snap_path + ".shard-" + std::to_string(i);
 }
 
@@ -246,37 +255,103 @@ bool HasDurabilityState(const std::string& dir) {
   return false;
 }
 
-/// `ingest --shards=N`: the sharded scale-out path (DESIGN.md §17). One
-/// ShardedPipeline replaces the collector+cloud-node pair: a router fans
-/// raw lines out to N full collector pipelines, each with its own cloud
-/// slice, publication counter, durability directory (`<data-dir>/
-/// shard-<i>`) and DP budget per the placement's composition rule. Each
-/// shard's final state lands in `<snapshot.bin>.shard-<i>`; query them
-/// back with the same `--shards`/`--shard-by` values.
-int CmdIngestSharded(const std::string& dataset, const std::string& in_path,
-                     const std::string& snap_path, double epsilon,
-                     size_t nodes, size_t interval, const std::string& key_hex,
-                     const engine::DurabilityConfig& dur,
-                     const OverloadOptions& ovl, const engine::ObsConfig& obs,
-                     const ShardCliOptions& shards) {
+#if FRESQUE_TELEMETRY_ENABLED
+/// The `/statusz` view of the pipeline: every shard's collector nodes
+/// (named `shard.<i>.<node>`), the per-shard table, and the WAL block
+/// summed over shards.
+obs::StatusSnapshot PipelineStatus(const shard::ShardedPipeline& pipe) {
+  obs::StatusSnapshot s;
+  const auto m = pipe.Metrics();
+  for (const auto& sh : m.shards) {
+    const std::string prefix = "shard." + std::to_string(sh.shard) + ".";
+    for (const auto& n : sh.collector.nodes) {
+      s.nodes.push_back({prefix + n.name, n.inbox.depth, n.inbox.capacity,
+                         n.inbox.high_watermark, n.frames_processed});
+    }
+    obs::StatusSnapshot::Shard row;
+    row.shard = sh.shard;
+    row.routed = sh.routed;
+    row.ingress_depth = sh.ingress_depth;
+    row.ingress_capacity = sh.ingress_capacity;
+    row.ingress_watermark = sh.ingress_high_watermark;
+    row.view_epoch = sh.view_epoch;
+    row.publications = sh.collector.publications_completed;
+    row.records = sh.records;
+    s.shards.push_back(row);
+    s.view_epoch = std::max(s.view_epoch, row.view_epoch);
+    s.publications = std::max(s.publications, row.publications);
+    s.total_records += sh.records;
+    if (!pipe.config().durability.enabled()) continue;
+    const auto& dm = sh.durability;
+    s.wal_frames += dm.wal_frames;
+    s.wal_bytes += dm.wal_bytes;
+    s.wal_segments += dm.wal_segments_created - dm.wal_segments_deleted;
+    s.snapshots_written += dm.snapshots_written;
+    s.last_snapshot_millis = std::max(
+        s.last_snapshot_millis, static_cast<int64_t>(dm.last_snapshot_millis));
+  }
+  s.open_publication = static_cast<int64_t>(pipe.current_publication());
+  return s;
+}
+#endif
+
+/// `ingest`: one ShardedPipeline (DESIGN.md §17) carries every
+/// deployment. A router fans raw lines out to `--shards` full collector
+/// pipelines (one by default), each with its own cloud slice, publication
+/// counter, durability directory and DP budget per the placement's
+/// composition rule. One shard persists exactly where the unsharded
+/// layout always did (`<snapshot.bin>`, `<data-dir>`); shard `i` of N > 1
+/// lands in `<snapshot.bin>.shard-<i>` and `<data-dir>/shard-<i>`.
+int CmdIngest(const std::string& dataset, const std::string& in_path,
+              const std::string& snap_path, double epsilon, size_t nodes,
+              size_t interval, const std::string& key_hex,
+              const engine::DurabilityConfig& dur,
+              const TelemetryOptions& tel, const OverloadOptions& ovl,
+              const engine::ObsConfig& obs, const shard::ShardOptions& shards) {
   auto spec = SpecByName(dataset);
   if (!spec.ok()) return Fail(spec.status().ToString());
   std::ifstream in(in_path);
   if (!in) return Fail("cannot open " + in_path);
-  if (ovl.static_batching || ovl.admission_rps > 0) {
-    std::cerr << "warning: overload-control flags are per-collector and"
-                 " not yet wired through --shards; ignored\n";
+
+#if FRESQUE_TELEMETRY_ENABLED
+  std::unique_ptr<MetricsDumper> dumper;
+  if (!tel.metrics_out.empty()) {
+    dumper = std::make_unique<MetricsDumper>(tel.metrics_out,
+                                             tel.metrics_interval_ms);
   }
+  if (!tel.trace_out.empty()) {
+    telemetry::Tracer::Global()->Enable();
+    telemetry::Tracer::Global()->SetCurrentThreadName("dispatcher");
+  }
+  // Flight recorder first: capacity must land before the first event, and
+  // the crash handlers before any pipeline thread that could fault. The
+  // dump lands on stderr always, plus <data-dir>/flight.dump when a data
+  // dir exists (crash forensics next to the WAL they explain).
+  if (!obs::FlightRecorder::ConfigureGlobalCapacity(obs.flight_capacity)) {
+    std::cerr << "warning: --flight-capacity=" << obs.flight_capacity
+              << " ignored (out of range or recorder already created)\n";
+  }
+  obs::InstallCrashHandlers(dur.enabled() ? dur.data_dir + "/flight.dump"
+                                          : std::string());
+  obs::SetSloE2eTargetNs(static_cast<int64_t>(obs.slo_e2e_ms) * 1000000);
+#else
+  if (tel.any() || obs.enabled() || obs.slo_e2e_ms > 0) {
+    std::cerr << "warning: built with FRESQUE_TELEMETRY=OFF;"
+                 " --metrics-out/--trace-out/--obs-addr/--slo-e2e-ms are"
+                 " no-ops\n";
+  }
+#endif
 
   if (dur.enabled()) {
     std::error_code ec;
     std::filesystem::create_directories(dur.data_dir, ec);
-    for (size_t i = 0; i < shards.opts.num_shards; ++i) {
-      const std::string sdir = shard::ShardDataDir(dur.data_dir, i);
-      if (std::filesystem::exists(sdir) && HasDurabilityState(sdir)) {
-        return Fail("shard data dir " + sdir +
-                    " already holds durability state; recover it first or"
-                    " pick a fresh directory");
+    for (size_t i = 0; i < shards.num_shards; ++i) {
+      const std::string dir =
+          shard::ShardDataDir(dur.data_dir, i, shards.num_shards);
+      if (std::filesystem::exists(dir) && HasDurabilityState(dir)) {
+        return Fail("data dir " + dir +
+                    " already holds durability state; recover it or pick"
+                    " a fresh directory");
       }
     }
   }
@@ -285,12 +360,23 @@ int CmdIngestSharded(const std::string& dataset, const std::string& in_path,
   cfg.collector.dataset = *spec;
   cfg.collector.epsilon = epsilon;
   cfg.collector.num_computing_nodes = nodes;
-  cfg.shard = shards.opts;
+  cfg.collector.adaptive_batching = !ovl.static_batching;
+  if (ovl.admission_rps > 0) {
+    // Per shard, like every other collector knob.
+    cfg.collector.admission.enabled = true;
+    cfg.collector.admission.rate_records_per_sec = ovl.admission_rps;
+    cfg.collector.admission.shed_low_watermark = ovl.shed_low_watermark;
+    cfg.collector.admission.shed_high_watermark = ovl.shed_high_watermark;
+  }
+  cfg.shard = shards;
   cfg.durability = dur;
   shard::ShardedPipeline pipe(cfg, KeysFromHex(key_hex));
   if (auto st = pipe.Start(); !st.ok()) return Fail(st.ToString());
 
 #if FRESQUE_TELEMETRY_ENABLED
+  // The observability plane (DESIGN.md §16). Declared after the pipeline
+  // so it is destroyed (and its sampler/HTTP threads joined) first — the
+  // callbacks below capture the pipeline by reference.
   std::unique_ptr<obs::ObsServer> obs_server;
   std::atomic<bool> obs_ready{true};
   if (obs.enabled()) {
@@ -306,93 +392,135 @@ int CmdIngestSharded(const std::string& dataset, const std::string& in_path,
       return obs_ready.load(std::memory_order_relaxed);
     };
     oopts.fold = [&pipe] { pipe.ExportTelemetry(); };
-    oopts.status_source = [&pipe] {
-      obs::StatusSnapshot s;
-      auto m = pipe.Metrics();
-      s.shards.reserve(m.shards.size());
-      for (const auto& sh : m.shards) {
-        obs::StatusSnapshot::Shard row;
-        row.shard = sh.shard;
-        row.routed = sh.routed;
-        row.ingress_depth = sh.ingress_depth;
-        row.ingress_capacity = sh.ingress_capacity;
-        row.ingress_watermark = sh.ingress_high_watermark;
-        row.view_epoch = sh.view_epoch;
-        row.publications = sh.publications;
-        row.records = sh.records;
-        s.view_epoch = std::max<uint64_t>(s.view_epoch, sh.view_epoch);
-        s.publications = std::max<uint64_t>(s.publications, sh.publications);
-        s.total_records += sh.records;
-        s.shards.push_back(row);
-      }
-      s.open_publication = static_cast<int64_t>(pipe.current_publication());
-      return s;
-    };
+    oopts.status_source = [&pipe] { return PipelineStatus(pipe); };
     obs_server = std::make_unique<obs::ObsServer>(std::move(oopts));
     if (auto st = obs_server->Start(); !st.ok()) {
       return Fail("obs server: " + st.ToString());
     }
+    // std::endl: scrape scripts tail the log for the bound (possibly
+    // ephemeral) port, so this line must not sit in a full buffer.
     std::cout << "obs: listening on http://" << parsed->first << ":"
               << obs_server->port() << " (/metrics /healthz /readyz"
               << " /statusz /flightz)" << std::endl;
   }
-#else
-  if (obs.enabled()) {
-    std::cerr << "warning: built with FRESQUE_TELEMETRY=OFF;"
-                 " --obs-addr is a no-op\n";
-  }
 #endif
 
   std::string line;
-  size_t total = 0, in_interval = 0, publications = 0;
+  size_t total = 0, in_interval = 0;
   while (std::getline(in, line)) {
+    pipe.SetIntervalProgress(static_cast<double>(in_interval) /
+                             static_cast<double>(interval));
+    // Lines shed at admission are counted by their shard, not failed.
     if (auto st = pipe.Ingest(line); !st.ok()) return Fail(st.ToString());
     ++total;
     if (++in_interval >= interval) {
       if (auto st = pipe.Publish(); !st.ok()) return Fail(st.ToString());
       in_interval = 0;
-      ++publications;
     }
   }
 #if FRESQUE_TELEMETRY_ENABLED
-  obs_ready.store(false, std::memory_order_relaxed);
+  obs_ready.store(false, std::memory_order_relaxed);  // /readyz goes 503
 #endif
-  // Shutdown flushes the router, drains every shard and publishes each
-  // open interval, waiting for the final cloud acks.
+  // Shutdown flushes the router, drains every shard, publishes each open
+  // interval and waits for the final cloud acks.
   if (auto st = pipe.Shutdown(); !st.ok()) return Fail(st.ToString());
-  if (in_interval > 0) ++publications;
+  const size_t n = pipe.cloud()->num_shards();
+  for (size_t i = 0; i < n; ++i) {
+    const std::string spath = ShardSnapshotPath(snap_path, i, n);
+    if (auto st = pipe.cloud()->shard(i)->SaveSnapshot(spath); !st.ok()) {
+      return Fail("shard " + std::to_string(i) + " snapshot: " +
+                  st.ToString());
+    }
+  }
+  // Converge the data dirs: snapshot the final state (including the
+  // still-open interval's records) and truncate the covered WAL prefix.
+  if (auto st = pipe.WriteSnapshots(); !st.ok()) {
+    return Fail("final durability snapshot: " + st.ToString());
+  }
 #if FRESQUE_TELEMETRY_ENABLED
-  pipe.ExportTelemetry();
   if (obs_server) {
+    // Stop before the final metrics dump so the sampler's closing fold
+    // (e2e quantiles, queue gauges) lands in the dumped snapshot.
     obs_server->Stop();
     std::cout << "obs: served " << obs_server->requests()
               << " HTTP request(s)\n";
   }
+  dumper.reset();  // stop the thread and write the final snapshot
+  if (!tel.trace_out.empty()) {
+    telemetry::Tracer::Global()->Disable();
+    auto stats = telemetry::Tracer::Global()->GetStats();
+    if (auto st = telemetry::Tracer::Global()->WriteChromeTrace(tel.trace_out);
+        !st.ok()) {
+      return Fail("trace dump: " + st.ToString());
+    }
+    std::cout << "trace: " << stats.retained << " span(s) across "
+              << stats.threads << " thread(s) -> " << tel.trace_out;
+    if (stats.dropped > 0) {
+      std::cout << " (" << stats.dropped << " dropped to ring wraparound)";
+    }
+    std::cout << "\n";
+  }
+  if (!tel.metrics_out.empty()) {
+    std::cout << "metrics: " << tel.metrics_out << "\n";
+  }
 #endif
 
-  auto m = pipe.Metrics();
-  std::cout << "ingested " << total << " lines across "
-            << shards.opts.num_shards << " "
-            << shard::ToString(shards.opts.shard_by) << " shard(s) ("
-            << m.router.extract_fallbacks << " routed by fallback hash), "
-            << publications << " publication barrier(s), epsilon "
+  const auto m = pipe.Metrics();
+  engine::CollectorMetrics sum;
+  durability::DurabilityMetrics dm;
+  uint64_t routed_sum = 0, publications = 0;
+  for (const auto& sh : m.shards) {
+    routed_sum += sh.routed;
+    publications =
+        std::max(publications, sh.collector.publications_completed);
+    sum.parse_errors += sh.collector.parse_errors;
+    sum.codec_failures += sh.collector.codec_failures;
+    sum.pending_dropped += sh.collector.pending_dropped;
+    sum.overflow_drops += sh.collector.overflow_drops;
+    sum.shed_records += sh.collector.shed_records;
+    dm.wal_frames += sh.durability.wal_frames;
+    dm.wal_bytes += sh.durability.wal_bytes;
+    dm.wal_fsyncs += sh.durability.wal_fsyncs;
+    dm.wal_segments_created += sh.durability.wal_segments_created;
+    dm.wal_segments_deleted += sh.durability.wal_segments_deleted;
+    dm.snapshots_written += sh.durability.snapshots_written;
+  }
+  std::cout << "ingested " << total << " lines (" << sum.parse_errors
+            << " parse errors"
+            << (cfg.collector.admission.enabled
+                    ? ", " + std::to_string(sum.shed_records) +
+                          " shed at admission"
+                    : "")
+            << "), published " << publications << " publication(s), snapshot "
+            << snap_path << " (" << pipe.cloud()->total_bytes()
+            << " payload bytes)\n"
+            << "collector drops: " << sum.TotalDrops() << " (parse "
+            << sum.parse_errors << ", codec " << sum.codec_failures
+            << ", pending " << sum.pending_dropped << ", overflow "
+            << sum.overflow_drops << ")\n";
+  if (dur.enabled()) {
+    std::cout << "durability: " << dm.wal_frames << " WAL frame(s), "
+              << dm.wal_bytes << " bytes, " << dm.wal_fsyncs << " fsync(s), "
+              << dm.wal_segments_created << " segment(s) ("
+              << dm.wal_segments_deleted << " truncated), "
+              << dm.snapshots_written << " snapshot(s) in " << dur.data_dir
+              << " [fsync=" << durability::FsyncPolicyToString(dur.fsync_policy)
+              << "]\n";
+  }
+  std::cout << "placement: " << n << " "
+            << shard::ToString(shards.shard_by) << " shard(s) ("
+            << m.router.extract_fallbacks
+            << " routed by fallback hash), epsilon "
             << pipe.placement().ShardEpsilon(epsilon) << "/shard ["
             << shard::ToString(pipe.placement().effective_composition())
             << " composition]\n";
-  uint64_t routed_sum = 0;
   for (const auto& sh : m.shards) {
-    routed_sum += sh.routed;
-    const std::string spath = ShardSnapshotPath(snap_path, sh.shard);
-    if (auto st = pipe.cloud()->shard(sh.shard)->SaveSnapshot(spath);
-        !st.ok()) {
-      return Fail("shard " + std::to_string(sh.shard) +
-                  " snapshot: " + st.ToString());
-    }
     std::cout << "  shard " << sh.shard << ": " << sh.routed << " routed, "
               << sh.records << " stored record(s), ingress watermark "
               << sh.ingress_high_watermark << "/" << sh.ingress_capacity
-              << ", " << sh.publications << " publication(s) -> " << spath
-              << "\n";
+              << ", " << sh.collector.publications_completed
+              << " publication(s) -> "
+              << ShardSnapshotPath(snap_path, sh.shard, n) << "\n";
   }
   // Conservation ledger: every ingested line was routed to exactly one
   // shard; a mismatch here is a router bug, not an operational condition.
@@ -405,23 +533,24 @@ int CmdIngestSharded(const std::string& dataset, const std::string& in_path,
   return 0;
 }
 
-/// `query --shards=N`: reassembles the sharded cloud from the per-shard
-/// snapshots CmdIngestSharded wrote and fans the range query out across
-/// the shards whose slice intersects it, merging with exact accounting.
-int CmdQuerySharded(const std::string& dataset, const std::string& snap_path,
-                    double lo, double hi, const std::string& key_hex,
-                    const QueryCliOptions& opts,
-                    const ShardCliOptions& shards) {
+/// `query`: reassembles the cloud from the per-shard snapshots CmdIngest
+/// wrote (one snapshot for one shard) and serves the range through the
+/// concurrent query engine (DESIGN.md §15), fanned out across the shards
+/// whose slice intersects it and merged with exact accounting.
+int CmdQuery(const std::string& dataset, const std::string& snap_path,
+             double lo, double hi, const std::string& key_hex,
+             const QueryCliOptions& opts, const shard::ShardOptions& shards) {
   auto spec = SpecByName(dataset);
   if (!spec.ok()) return Fail(spec.status().ToString());
-  auto placement = shard::ShardPlacement::Create(*spec, shards.opts);
+  auto placement = shard::ShardPlacement::Create(*spec, shards);
   if (!placement.ok()) return Fail(placement.status().ToString());
+  const size_t n = placement->num_shards();
   auto cloud = std::make_unique<shard::ShardedCloudServer>(*placement);
-  for (size_t i = 0; i < placement->num_shards(); ++i) {
-    auto srv = cloud::CloudServer::LoadSnapshot(ShardSnapshotPath(snap_path, i));
+  for (size_t i = 0; i < n; ++i) {
+    const std::string spath = ShardSnapshotPath(snap_path, i, n);
+    auto srv = cloud::CloudServer::LoadSnapshot(spath);
     if (!srv.ok()) {
-      return Fail("shard " + std::to_string(i) + ": " +
-                  srv.status().ToString() +
+      return Fail(spath + ": " + srv.status().ToString() +
                   " (was the ingest run with the same --shards/--shard-by?)");
     }
     if (auto st = cloud->AdoptShard(i, std::move(*srv)); !st.ok()) {
@@ -429,8 +558,9 @@ int CmdQuerySharded(const std::string& dataset, const std::string& snap_path,
     }
   }
 
-  // Same executor front door as the unsharded path: the fan-out runs
-  // under the worker's deadline/cancellation context on every shard.
+  // The executor's workers scan each restored store's immutable view,
+  // with the same admission/deadline semantics a live deployment gets;
+  // the fan-out runs under the worker's deadline/cancellation context.
   query::ExecutorOptions eo;
   eo.num_threads = opts.threads;
   eo.queue_capacity = opts.queue;
@@ -475,9 +605,22 @@ int CmdQuerySharded(const std::string& dataset, const std::string& snap_path,
               << " ms, p95 " << pct(0.95) << " ms, p99 " << pct(0.99)
               << " ms\n";
   }
+  query::LeafCache::Stats cache;
+  for (size_t i = 0; i < n; ++i) {
+    const auto st = cloud->shard(i)->leaf_cache().stats();
+    cache.hits += st.hits;
+    cache.misses += st.misses;
+  }
+  const auto em = executor.metrics();
+  std::cout << "executor: " << em.submitted << " submitted, " << em.executed
+            << " ok, " << em.shed << " shed, " << em.deadline_exceeded
+            << " deadline-exceeded, " << em.cancelled << " cancelled, "
+            << em.failed << " failed (leaf cache hit ratio "
+            << cache.HitRatio() << ")\n";
 
-  // The fan-out ledger: which shards were probed, what each contributed,
-  // and that the per-shard counts sum to the merged result.
+  // The fan-out ledger: which shards were probed, what each contributed
+  // (at which view epoch), and that the per-shard counts sum to the
+  // merged result.
   shard::FanoutStats stats;
   auto direct = cloud->ExecuteQuery(q, &stats);
   if (!direct.ok()) return Fail(direct.status().ToString());
@@ -493,343 +636,6 @@ int CmdQuerySharded(const std::string& dataset, const std::string& snap_path,
             << " across probed shards == " << direct->TotalRecords()
             << " merged ciphertext(s)\n";
   return stats.TotalRecords() == direct->TotalRecords() ? 0 : 2;
-}
-
-int CmdIngest(const std::string& dataset, const std::string& in_path,
-              const std::string& snap_path, double epsilon, size_t nodes,
-              size_t interval, const std::string& key_hex,
-              const engine::DurabilityConfig& dur,
-              const TelemetryOptions& tel, const OverloadOptions& ovl,
-              const engine::ObsConfig& obs) {
-  auto spec = SpecByName(dataset);
-  if (!spec.ok()) return Fail(spec.status().ToString());
-  std::ifstream in(in_path);
-  if (!in) return Fail("cannot open " + in_path);
-
-#if FRESQUE_TELEMETRY_ENABLED
-  std::unique_ptr<MetricsDumper> dumper;
-  if (!tel.metrics_out.empty()) {
-    dumper = std::make_unique<MetricsDumper>(tel.metrics_out,
-                                             tel.metrics_interval_ms);
-  }
-  if (!tel.trace_out.empty()) {
-    telemetry::Tracer::Global()->Enable();
-    telemetry::Tracer::Global()->SetCurrentThreadName("dispatcher");
-  }
-#else
-  if (tel.any() || obs.enabled() || obs.slo_e2e_ms > 0) {
-    std::cerr << "warning: built with FRESQUE_TELEMETRY=OFF;"
-                 " --metrics-out/--trace-out/--obs-addr/--slo-e2e-ms are"
-                 " no-ops\n";
-  }
-#endif
-
-#if FRESQUE_TELEMETRY_ENABLED
-  // Flight recorder first: capacity must land before the first event, and
-  // the crash handlers before any pipeline thread that could fault. The
-  // dump lands on stderr always, plus <data-dir>/flight.dump when a data
-  // dir exists (crash forensics next to the WAL they explain).
-  if (!obs::FlightRecorder::ConfigureGlobalCapacity(obs.flight_capacity)) {
-    std::cerr << "warning: --flight-capacity=" << obs.flight_capacity
-              << " ignored (out of range or recorder already created)\n";
-  }
-  obs::InstallCrashHandlers(dur.enabled() ? dur.data_dir + "/flight.dump"
-                                          : std::string());
-  obs::SetSloE2eTargetNs(static_cast<int64_t>(obs.slo_e2e_ms) * 1000000);
-#endif
-
-  auto binning = index::DomainBinning::Create(
-      spec->domain_min, spec->domain_max, spec->bin_width);
-  cloud::CloudServer server(std::move(binning).ValueOrDie());
-  engine::CloudNode cloud_node(&server);
-
-  std::unique_ptr<durability::Wal> wal;
-  std::unique_ptr<durability::SnapshotManager> snapshots;
-  if (dur.enabled()) {
-    std::error_code ec;
-    std::filesystem::create_directories(dur.data_dir, ec);
-    if (HasDurabilityState(dur.data_dir)) {
-      return Fail("data dir " + dur.data_dir +
-                  " already holds durability state; run"
-                  " `fresque_cli recover` on it or pick a fresh directory");
-    }
-    durability::WalOptions wopts;
-    wopts.dir = dur.data_dir;
-    wopts.fsync_policy = dur.fsync_policy;
-    wopts.fsync_interval_ms = dur.fsync_interval_ms;
-    wopts.segment_bytes = dur.wal_segment_bytes;
-    auto opened = durability::Wal::Open(std::move(wopts));
-    if (!opened.ok()) return Fail(opened.status().ToString());
-    wal = std::move(*opened);
-    durability::SnapshotOptions sopts;
-    sopts.dir = dur.data_dir;
-    sopts.snapshot_every_installs = dur.snapshot_every_installs;
-    snapshots = std::make_unique<durability::SnapshotManager>(
-        sopts, &server, wal.get());
-    if (auto st = cloud_node.AttachDurability(wal.get(), snapshots.get());
-        !st.ok()) {
-      return Fail(st.ToString());
-    }
-  }
-  cloud_node.Start();
-
-  engine::CollectorConfig cfg;
-  cfg.dataset = *spec;
-  cfg.epsilon = epsilon;
-  cfg.num_computing_nodes = nodes;
-  cfg.adaptive_batching = !ovl.static_batching;
-  if (ovl.admission_rps > 0) {
-    cfg.admission.enabled = true;
-    cfg.admission.rate_records_per_sec = ovl.admission_rps;
-    cfg.admission.shed_low_watermark = ovl.shed_low_watermark;
-    cfg.admission.shed_high_watermark = ovl.shed_high_watermark;
-  }
-  engine::FresqueCollector collector(cfg, KeysFromHex(key_hex),
-                                     cloud_node.inbox());
-  cloud_node.RouteAcksTo(collector.publication_acks());
-  if (auto st = collector.Start(); !st.ok()) return Fail(st.ToString());
-
-  // Mirrors the dispatcher's current publication for `/statusz` readers
-  // on the obs HTTP thread (current_publication() itself is
-  // dispatcher-thread state).
-  std::atomic<int64_t> open_pn{0};
-
-#if FRESQUE_TELEMETRY_ENABLED
-  // The observability plane (DESIGN.md §16). Declared after the collector
-  // so it is destroyed (and its sampler/HTTP threads joined) first — the
-  // status/fold callbacks below capture the collector and cloud state by
-  // reference.
-  std::atomic<bool> obs_ready{true};
-  const bool dur_on = dur.enabled();
-  std::unique_ptr<obs::ObsServer> obs_server;
-  if (obs.enabled()) {
-    auto parsed = obs::ParseObsAddr(obs.addr);
-    if (!parsed.ok()) {
-      return Fail("bad --obs-addr: " + parsed.status().ToString());
-    }
-    obs::ObsServerOptions oopts;
-    oopts.host = parsed->first;
-    oopts.port = parsed->second;
-    oopts.sample_interval_ms = obs.sample_interval_ms;
-    oopts.ready_source = [&obs_ready] {
-      return obs_ready.load(std::memory_order_relaxed);
-    };
-    oopts.fold = [&collector, &cloud_node, dur_on] {
-      engine::ExportToRegistry(collector.Metrics());
-      if (dur_on) {
-        durability::ExportToRegistry(cloud_node.durability_metrics());
-      }
-    };
-    oopts.status_source = [&collector, &cloud_node, &server, &open_pn,
-                           dur_on] {
-      obs::StatusSnapshot s;
-      auto m = collector.Metrics();
-      s.nodes.reserve(m.nodes.size());
-      for (const auto& n : m.nodes) {
-        s.nodes.push_back({n.name, n.inbox.depth, n.inbox.capacity,
-                           n.inbox.high_watermark, n.frames_processed});
-      }
-      s.view_epoch = server.view_epoch();
-      s.publications = m.publications_completed;
-      s.open_publication = open_pn.load(std::memory_order_relaxed);
-      s.total_records = server.total_records();
-      if (dur_on) {
-        auto dm = cloud_node.durability_metrics();
-        s.wal_frames = dm.wal_frames;
-        s.wal_bytes = dm.wal_bytes;
-        s.wal_segments =
-            dm.wal_segments_created - dm.wal_segments_deleted;
-        s.snapshots_written = dm.snapshots_written;
-        s.last_snapshot_millis =
-            static_cast<int64_t>(dm.last_snapshot_millis);
-      }
-      return s;
-    };
-    obs_server = std::make_unique<obs::ObsServer>(std::move(oopts));
-    if (auto st = obs_server->Start(); !st.ok()) {
-      return Fail("obs server: " + st.ToString());
-    }
-    // std::endl: scrape scripts tail the log for the bound (possibly
-    // ephemeral) port, so this line must not sit in a full buffer.
-    std::cout << "obs: listening on http://" << parsed->first << ":"
-              << obs_server->port() << " (/metrics /healthz /readyz"
-              << " /statusz /flightz)" << std::endl;
-  }
-#endif
-
-  std::string line;
-  size_t total = 0, in_interval = 0, publications = 0;
-  while (std::getline(in, line)) {
-    collector.SetIntervalProgress(static_cast<double>(in_interval) /
-                                  static_cast<double>(interval));
-    if (auto st = collector.Ingest(line); !st.ok()) {
-      // A shed line is the admission gate doing its job, not a failure:
-      // skip it (the count is reported below) and keep ingesting.
-      if (st.IsOverloaded()) continue;
-      return Fail(st.ToString());
-    }
-    ++total;
-    if (++in_interval >= interval) {
-      if (auto st = collector.Publish(); !st.ok()) {
-        return Fail(st.ToString());
-      }
-      in_interval = 0;
-      ++publications;
-      open_pn.store(static_cast<int64_t>(collector.current_publication()),
-                    std::memory_order_relaxed);
-    }
-  }
-  // The trailing partial interval is drained by Shutdown() itself; wait
-  // for the cloud to acknowledge it so the snapshot is complete.
-  uint64_t last_pn = collector.current_publication();
-#if FRESQUE_TELEMETRY_ENABLED
-  obs_ready.store(false, std::memory_order_relaxed);  // /readyz goes 503
-#endif
-  if (auto st = collector.Shutdown(); !st.ok()) return Fail(st.ToString());
-  if (in_interval > 0) {
-    Status acked =
-        collector.WaitForPublication(last_pn, std::chrono::seconds(30));
-    if (!acked.ok()) return Fail("drained publication: " + acked.ToString());
-    ++publications;
-  }
-  cloud_node.Shutdown();
-  if (!cloud_node.first_error().ok()) {
-    return Fail(cloud_node.first_error().ToString());
-  }
-  if (auto st = server.SaveSnapshot(snap_path); !st.ok()) {
-    return Fail(st.ToString());
-  }
-  if (snapshots) {
-    // Converge the data dir: snapshot the final state (including the
-    // still-open interval's records) and truncate the covered WAL prefix.
-    if (auto st = snapshots->WriteSnapshot(); !st.ok()) {
-      return Fail("final durability snapshot: " + st.ToString());
-    }
-  }
-  auto metrics = collector.Metrics();
-  engine::ExportToRegistry(metrics);
-  if (dur.enabled()) {
-    durability::ExportToRegistry(cloud_node.durability_metrics());
-  }
-#if FRESQUE_TELEMETRY_ENABLED
-  if (obs_server) {
-    // Stop before the final metrics dump so the sampler's closing fold
-    // (e2e quantiles, queue gauges) lands in the dumped snapshot.
-    obs_server->Stop();
-    std::cout << "obs: served " << obs_server->requests()
-              << " HTTP request(s)\n";
-  }
-  dumper.reset();  // stop the thread and write the final snapshot
-  if (!tel.trace_out.empty()) {
-    telemetry::Tracer::Global()->Disable();
-    auto stats = telemetry::Tracer::Global()->GetStats();
-    if (auto st = telemetry::Tracer::Global()->WriteChromeTrace(tel.trace_out);
-        !st.ok()) {
-      return Fail("trace dump: " + st.ToString());
-    }
-    std::cout << "trace: " << stats.retained << " span(s) across "
-              << stats.threads << " thread(s) -> " << tel.trace_out;
-    if (stats.dropped > 0) {
-      std::cout << " (" << stats.dropped << " dropped to ring wraparound)";
-    }
-    std::cout << "\n";
-  }
-  if (!tel.metrics_out.empty()) {
-    std::cout << "metrics: " << tel.metrics_out << "\n";
-  }
-#endif
-  std::cout << "ingested " << total << " lines ("
-            << collector.parse_errors() << " parse errors"
-            << (cfg.admission.enabled
-                    ? ", " + std::to_string(collector.shed_records()) +
-                          " shed at admission"
-                    : "")
-            << "), published "
-            << publications << " publication(s), snapshot " << snap_path
-            << " (" << server.total_bytes() << " payload bytes)\n"
-            << "collector drops: " << metrics.TotalDrops()
-            << " (parse " << metrics.parse_errors << ", codec "
-            << metrics.codec_failures << ", pending "
-            << metrics.pending_dropped << ", overflow "
-            << metrics.overflow_drops << ")\n";
-  if (dur.enabled()) {
-    auto dm = cloud_node.durability_metrics();
-    std::cout << "durability: " << dm.wal_frames << " WAL frame(s), "
-              << dm.wal_bytes << " bytes, " << dm.wal_fsyncs << " fsync(s), "
-              << dm.wal_segments_created << " segment(s) ("
-              << dm.wal_segments_deleted << " truncated), "
-              << dm.snapshots_written << " snapshot(s) in " << dur.data_dir
-              << " [fsync=" << durability::FsyncPolicyToString(dur.fsync_policy)
-              << "]\n";
-  }
-  return 0;
-}
-
-int CmdQuery(const std::string& dataset, const std::string& snap_path,
-             double lo, double hi, const std::string& key_hex,
-             const QueryCliOptions& opts) {
-  auto spec = SpecByName(dataset);
-  if (!spec.ok()) return Fail(spec.status().ToString());
-  auto server = cloud::CloudServer::LoadSnapshot(snap_path);
-  if (!server.ok()) return Fail(server.status().ToString());
-
-  // Serve through the concurrent query engine (DESIGN.md §15): the
-  // executor's workers scan the restored store's immutable view, with the
-  // same admission/deadline semantics a live deployment gets.
-  query::ExecutorOptions eo;
-  eo.num_threads = opts.threads;
-  eo.queue_capacity = opts.queue;
-  eo.default_deadline =
-      std::chrono::milliseconds(opts.deadline_ms);
-  cloud::CloudServer* srv = server->get();
-  query::QueryExecutor executor(
-      [srv](const index::RangeQuery& q, const query::QueryContext& ctx) {
-        return srv->ExecuteQuery(q, ctx);
-      },
-      eo);
-
-  client::Client client(KeysFromHex(key_hex), &spec->parser->schema());
-  const index::RangeQuery q{lo, hi};
-  std::vector<double> latencies_ms;
-  latencies_ms.reserve(opts.repeat);
-  Result<cloud::QueryResult> last = cloud::QueryResult{};
-  for (size_t i = 0; i < opts.repeat; ++i) {
-    auto t0 = std::chrono::steady_clock::now();
-    last = executor.Execute(q);
-    auto t1 = std::chrono::steady_clock::now();
-    if (!last.ok()) return Fail(last.status().ToString());
-    latencies_ms.push_back(
-        std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  auto records = client.Decrypt(*last, q);
-  if (!records.ok()) return Fail(records.status().ToString());
-
-  std::cout << records->size() << " records match ["
-            << lo << ", " << hi << "]\n";
-  for (size_t i = 0; i < records->size() && i < 5; ++i) {
-    std::cout << "  " << (*records)[i].ToString() << "\n";
-  }
-  if (records->size() > 5) std::cout << "  ...\n";
-
-  if (opts.repeat > 1) {
-    std::sort(latencies_ms.begin(), latencies_ms.end());
-    auto pct = [&](double p) {
-      size_t i = static_cast<size_t>(p * (latencies_ms.size() - 1));
-      return latencies_ms[i];
-    };
-    std::cout << "latency over " << opts.repeat << " runs: p50 " << pct(0.50)
-              << " ms, p95 " << pct(0.95) << " ms, p99 " << pct(0.99)
-              << " ms\n";
-  }
-  executor.Shutdown();
-  auto m = executor.metrics();
-  std::cout << "executor: " << m.submitted << " submitted, " << m.executed
-            << " ok, " << m.shed << " shed, " << m.deadline_exceeded
-            << " deadline-exceeded, " << m.cancelled << " cancelled, "
-            << m.failed << " failed (view epoch "
-            << (*server)->view_epoch() << ", leaf cache hit ratio "
-            << (*server)->leaf_cache().stats().HitRatio() << ")\n";
-  return 0;
 }
 
 int CmdVerify(const std::string& dataset, const std::string& snap_path,
@@ -996,7 +802,7 @@ int Usage() {
          " [--snapshot-every=<n>]\n"
       << "      [--metrics-out=<file>] [--metrics-interval-ms=<n>]"
          " [--trace-out=<file>]\n"
-      << "      [--static-batching] [--admission-rps=<rate>]"
+      << "      [--static-batching] [--admission-rps=<rate per shard>]"
          " [--shed-watermarks=<low>:<high>]\n"
       << "      [--obs-addr=<[host:]port>] [--slo-e2e-ms=<n>]"
          " [--flight-capacity=<n>]\n"
@@ -1024,7 +830,7 @@ int main(int argc, char** argv) {
   TelemetryOptions tel;
   OverloadOptions ovl;
   QueryCliOptions qopts;
-  ShardCliOptions shards;
+  fresque::shard::ShardOptions shards;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--data-dir=", 0) == 0) {
@@ -1096,21 +902,21 @@ int main(int argc, char** argv) {
       if (qopts.repeat == 0) qopts.repeat = 1;
     } else if (arg.rfind("--shards=", 0) == 0) {
       try {
-        shards.opts.num_shards = std::stoul(arg.substr(9));
+        shards.num_shards = std::stoul(arg.substr(9));
       } catch (const std::exception&) {
         return Fail("bad --shards value: " + arg.substr(9));
       }
-      if (shards.opts.num_shards == 0) {
+      if (shards.num_shards == 0) {
         return Fail("--shards wants a positive count");
       }
     } else if (arg.rfind("--shard-by=", 0) == 0) {
       auto by = fresque::shard::ParseShardBy(arg.substr(11));
       if (!by.ok()) return Fail(by.status().ToString());
-      shards.opts.shard_by = *by;
+      shards.shard_by = *by;
     } else if (arg.rfind("--epsilon-composition=", 0) == 0) {
       auto comp = fresque::shard::ParseEpsilonComposition(arg.substr(22));
       if (!comp.ok()) return Fail(comp.status().ToString());
-      shards.opts.epsilon_composition = *comp;
+      shards.epsilon_composition = *comp;
     } else if (arg == "--static-batching") {
       ovl.static_batching = true;
     } else if (arg.rfind("--admission-rps=", 0) == 0) {
@@ -1150,12 +956,8 @@ int main(int argc, char** argv) {
       size_t nodes = args.size() > 5 ? std::stoul(args[5]) : 4;
       size_t interval = args.size() > 6 ? std::stoul(args[6]) : 100000;
       std::string key = args.size() > 7 ? args[7] : kDefaultKeyHex;
-      if (shards.sharded()) {
-        return CmdIngestSharded(args[1], args[2], args[3], epsilon, nodes,
-                                interval, key, dur, ovl, obs, shards);
-      }
       return CmdIngest(args[1], args[2], args[3], epsilon, nodes, interval,
-                       key, dur, tel, ovl, obs);
+                       key, dur, tel, ovl, obs, shards);
     }
     if (cmd == "wal-dump" && args.size() == 2) {
       return CmdWalDump(args[1]);
@@ -1168,12 +970,8 @@ int main(int argc, char** argv) {
     }
     if (cmd == "query" && args.size() >= 5) {
       std::string key = args.size() > 5 ? args[5] : kDefaultKeyHex;
-      if (shards.sharded()) {
-        return CmdQuerySharded(args[1], args[2], std::stod(args[3]),
-                               std::stod(args[4]), key, qopts, shards);
-      }
       return CmdQuery(args[1], args[2], std::stod(args[3]),
-                      std::stod(args[4]), key, qopts);
+                      std::stod(args[4]), key, qopts, shards);
     }
     if (cmd == "verify" && args.size() >= 3) {
       std::string key = args.size() > 3 ? args[3] : kDefaultKeyHex;
