@@ -60,7 +60,7 @@ Status CloudServer::IngestTagged(uint64_t pn, uint64_t tag,
 
 Result<MatchingStats> CloudServer::InstallPublication(
     uint64_t pn, Publication* pub, net::IndexPublication publication,
-    const index::MatchingTable* table, Bytes raw_payload) {
+    const index::MatchingTable* table) {
   Stopwatch watch(clock_);
   const size_t num_leaves = publication.index.layout().num_leaves();
   // fresque-lint: allow(hot-alloc) install runs once per publication epoch, not per record
@@ -113,7 +113,7 @@ Result<MatchingStats> CloudServer::InstallPublication(
   pub->installed = std::make_shared<const query::InstalledPublication>(
       pn, std::move(pub->storage), std::move(publication.index),
       std::move(publication.overflow), std::move(postings),
-      std::move(raw_payload), std::move(filter));
+      std::move(publication.payload), std::move(filter));
   pub->metadata.clear();
   pub->tagged.clear();
   views_.Install(pub->installed);
@@ -125,28 +125,26 @@ Result<MatchingStats> CloudServer::InstallPublication(
 }
 
 Result<MatchingStats> CloudServer::PublishIndexed(
-    uint64_t pn, net::IndexPublication publication, Bytes raw_payload) {
+    uint64_t pn, net::IndexPublication publication) {
   MutexLock lock(mu_);
   auto pub = Find(pn);
   if (!pub.ok()) return pub.status();
   if ((*pub)->published()) {
     return Status::FailedPrecondition("publication already published");
   }
-  return InstallPublication(pn, *pub, std::move(publication), nullptr,
-                            std::move(raw_payload));
+  return InstallPublication(pn, *pub, std::move(publication), nullptr);
 }
 
 Result<MatchingStats> CloudServer::PublishWithMatchingTable(
     uint64_t pn, net::IndexPublication publication,
-    const index::MatchingTable& table, Bytes raw_payload) {
+    const index::MatchingTable& table) {
   MutexLock lock(mu_);
   auto pub = Find(pn);
   if (!pub.ok()) return pub.status();
   if ((*pub)->published()) {
     return Status::FailedPrecondition("publication already published");
   }
-  return InstallPublication(pn, *pub, std::move(publication), &table,
-                            std::move(raw_payload));
+  return InstallPublication(pn, *pub, std::move(publication), &table);
 }
 
 Result<MatchingStats> CloudServer::PublishBatch(
@@ -223,11 +221,11 @@ uint64_t CloudServer::view_epoch() const { return views_.epoch(); }
 
 Result<Bytes> CloudServer::PublicationEvidence(uint64_t pn) const {
   auto pub = views_.Current()->Find(pn);
-  if (pub == nullptr || pub->evidence.empty()) {
+  if (pub == nullptr || pub->evidence == nullptr || pub->evidence->empty()) {
     return Status::NotFound("no publication evidence for " +
                             std::to_string(pn));
   }
-  return pub->evidence;
+  return *pub->evidence;
 }
 
 Status CloudServer::ForEachStoredRecord(

@@ -82,11 +82,10 @@ class CloudServer {
 
   /// FRESQUE publication: associates cached metadata with the index
   /// leaves, installs index + overflow arrays, destroys the metadata.
-  /// `raw_payload`, when provided, is retained verbatim as integrity
-  /// evidence for client-side verification.
+  /// The payload a decoded publication carries is retained verbatim as
+  /// integrity evidence for client-side verification.
   Result<MatchingStats> PublishIndexed(uint64_t pn,
-                                       net::IndexPublication publication,
-                                       Bytes raw_payload = {})
+                                       net::IndexPublication publication)
       FRESQUE_EXCLUDES(mu_);
 
   /// PINED-RQ++ publication: re-reads every stored record of the
@@ -94,8 +93,7 @@ class CloudServer {
   /// table to rebuild leaf pointers.
   Result<MatchingStats> PublishWithMatchingTable(
       uint64_t pn, net::IndexPublication publication,
-      const index::MatchingTable& table, Bytes raw_payload = {})
-      FRESQUE_EXCLUDES(mu_);
+      const index::MatchingTable& table) FRESQUE_EXCLUDES(mu_);
 
   /// The verbatim publication payload as received from the collector
   /// (index + overflow + tag); what an auditor would fetch to verify the
@@ -201,8 +199,7 @@ class CloudServer {
 
   Result<MatchingStats> InstallPublication(
       uint64_t pn, Publication* pub, net::IndexPublication publication,
-      const index::MatchingTable* table, Bytes raw_payload)
-      FRESQUE_REQUIRES(mu_);
+      const index::MatchingTable* table) FRESQUE_REQUIRES(mu_);
 
   index::DomainBinning binning_;
   const Clock* clock_;

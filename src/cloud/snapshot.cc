@@ -9,6 +9,9 @@
 //                    u64 tagged count { u64 tag, address }
 //     published state: bytes index, bytes overflow, bytes evidence,
 //                      u64 leaves { u64 n, n addresses }
+//     (evidence is the verbatim publication payload, or empty; when
+//     present its overflow segment equals the overflow bytes, and the
+//     loaded arrays point into it)
 // Addresses encode as u32 segment, u32 offset, u32 length.
 
 #include <algorithm>
@@ -29,6 +32,15 @@ void PutAddress(BinaryWriter* w, const PhysicalAddress& a) {
   w->PutU32(a.segment);
   w->PutU32(a.offset);
   w->PutU32(a.length);
+}
+
+/// The overflow segment of an encoded publication payload that already
+/// decoded (so both leading segments are present).
+ByteSpan OverflowSegment(const Bytes& payload) {
+  BinaryReader r(payload);
+  if (!r.SkipBytes().ok()) return {};
+  auto segment = r.GetSpan();
+  return segment.ok() ? *segment : ByteSpan();
 }
 
 Result<PhysicalAddress> GetAddress(BinaryReader* r) {
@@ -110,8 +122,14 @@ Bytes CloudServer::EncodeSnapshot() const {
       const query::InstalledPublication& inst = *e.installed;
       w.PutBytes(inst.storage.Serialize());
       w.PutBytes(inst.index.Serialize());
-      w.PutBytes(inst.overflow.Serialize());
-      w.PutBytes(inst.evidence);
+      // Straight from the buffer the arrays point into (the evidence,
+      // for a publication that arrived encoded).
+      size_t at = w.BeginBytes();
+      inst.overflow.SerializeTo(&w);
+      w.EndBytes(at);
+      at = w.BeginBytes();
+      if (inst.evidence != nullptr) w.PutRaw(*inst.evidence);
+      w.EndBytes(at);
       w.PutU64(inst.postings.size());
       for (const auto& posting : inst.postings) {
         w.PutU64(posting.size());
@@ -217,8 +235,8 @@ Result<std::unique_ptr<CloudServer>> CloudServer::LoadSnapshot(
         pub.tagged.emplace_back(*tag, *a);
       }
     } else {
-      auto index_bytes = r.GetBytes();
-      auto overflow_bytes = r.GetBytes();
+      auto index_bytes = r.GetSpan();
+      auto overflow_bytes = r.GetSpan();
       auto evidence = r.GetBytes();
       auto leaves = r.GetU64();
       if (!index_bytes.ok() || !overflow_bytes.ok() || !evidence.ok() ||
@@ -227,7 +245,27 @@ Result<std::unique_ptr<CloudServer>> CloudServer::LoadSnapshot(
       }
       auto idx = index::HistogramIndex::Deserialize(*index_bytes);
       if (!idx.ok()) return idx.status();
-      auto ovf = index::OverflowArrays::Deserialize(*overflow_bytes);
+      // A publication that arrived encoded keeps one copy of its bytes:
+      // its overflow arrays are parsed in place from the evidence, whose
+      // overflow segment must be the one the snapshot recorded. Without
+      // evidence they get a buffer of their own.
+      Result<index::OverflowArrays> ovf =
+          Status::Corruption("snapshot overflow arrays missing");
+      std::shared_ptr<const Bytes> kept;
+      if (evidence->empty()) {
+        ovf = index::OverflowArrays::Deserialize(*overflow_bytes);
+      } else {
+        auto pub = net::DecodeIndexPublication(std::move(*evidence));
+        if (!pub.ok()) return pub.status();
+        const ByteSpan segment = OverflowSegment(*pub->payload);
+        if (!std::equal(segment.begin(), segment.end(),
+                        overflow_bytes->begin(), overflow_bytes->end())) {
+          return Status::Corruption(
+              "snapshot overflow arrays disagree with their evidence");
+        }
+        ovf = std::move(pub->overflow);
+        kept = std::move(pub->payload);
+      }
       if (!ovf.ok()) return ovf.status();
       if (*leaves > r.remaining() / 8) {  // one count per leaf
         return Status::Corruption("snapshot leaf count implausible");
@@ -255,7 +293,7 @@ Result<std::unique_ptr<CloudServer>> CloudServer::LoadSnapshot(
       // a default (pass-everything) filter is correct here.
       pub.installed = std::make_shared<const query::InstalledPublication>(
           *pn, std::move(*storage), std::move(*idx), std::move(*ovf),
-          std::move(postings), std::move(*evidence), query::TagFilter());
+          std::move(postings), std::move(kept), query::TagFilter());
       server->views_.Install(pub.installed);
     }
     server->publications_.emplace(*pn, std::move(pub));

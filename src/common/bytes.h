@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,9 @@ namespace fresque {
 /// Owning byte sequence used for wire frames, ciphertexts and stored
 /// records.
 using Bytes = std::vector<uint8_t>;
+
+/// Non-owning view of bytes that live in some other buffer.
+using ByteSpan = std::span<const uint8_t>;
 
 /// Appends fixed-width little-endian integers, floats and length-prefixed
 /// blobs to a growing byte buffer. All record/message/index serialization
@@ -45,6 +49,14 @@ class BinaryWriter {
   void PutBytes(const Bytes& b) {
     PutU32(static_cast<uint32_t>(b.size()));
     PutRaw(b);
+  }
+
+  /// Appends `n` zero bytes and returns where they start, for a caller
+  /// that fills them in place. The pointer is valid until the buffer next
+  /// grows past its capacity (Reserve first to pin it).
+  uint8_t* PutZeros(size_t n) {
+    buf_.resize(buf_.size() + n);
+    return buf_.data() + buf_.size() - n;
   }
 
   /// Opens a u32-length-prefixed segment whose body is appended next,
@@ -128,6 +140,17 @@ class BinaryReader {
     if (!n.ok()) return n.status();
     if (pos_ + *n > len_) return Eof("bytes body");
     Bytes out(data_ + pos_, data_ + pos_ + *n);
+    pos_ += *n;
+    return out;
+  }
+
+  /// Reads a u32 length prefix and returns a view of that many bytes
+  /// without copying them; the view points into the reader's buffer.
+  Result<ByteSpan> GetSpan() {
+    auto n = GetU32();
+    if (!n.ok()) return n.status();
+    if (pos_ + *n > len_) return Eof("bytes body");
+    ByteSpan out(data_ + pos_, *n);
     pos_ += *n;
     return out;
   }

@@ -14,10 +14,15 @@ namespace crypto {
 /// One message in an EncryptBatch call: `len` plaintext bytes at `plain`,
 /// ciphertext (IV || blocks) delivered into `*out` (resized by the call;
 /// retained capacity is reused, so steady-state batches don't allocate).
+/// With `out` null the message is encrypted in place instead: `in_place`
+/// holds CiphertextSize(len) bytes with the plaintext already at
+/// `in_place + 16` — e.g. a slot inside a larger buffer — and `plain` is
+/// unused.
 struct CbcBatchItem {
   const uint8_t* plain = nullptr;
   size_t len = 0;
   Bytes* out = nullptr;
+  uint8_t* in_place = nullptr;
 };
 
 /// Reusable working memory for EncryptBatch. Holding one of these per
@@ -58,15 +63,17 @@ class AesCbc {
     return EncryptWithIv(plaintext, iv);
   }
 
-  /// Encrypts `n` independent messages in one call. Each item's output is
-  /// resized to CiphertextSize(len) and filled with IV || ciphertext, the
-  /// IV drawn per item from `fill_iv(ptr, 16)`. Output is byte-identical
-  /// to per-item Encrypt with the same IVs.
+  /// Encrypts `n` independent messages in one call. Each item's output
+  /// (`*out` resized to CiphertextSize(len), or its `in_place` buffer) is
+  /// filled with IV || ciphertext, the IV drawn per item, in item order,
+  /// from `fill_iv(ptr, 16)`. Output is byte-identical to per-item
+  /// Encrypt with the same IVs.
   ///
   /// Works in two backend passes so chains stay independent: all full
   /// plaintext blocks first (interleaved across items), then every item's
   /// padded final block (also interleaved — records are near-uniform
-  /// length, so this second pass is one lockstep round, not a tail).
+  /// length, so this second pass is one lockstep round, not a tail). An
+  /// in-place item is padded where it lies and needs only the first pass.
   template <typename IvFiller>
   Status EncryptBatch(CbcBatchItem* items, size_t n, IvFiller&& fill_iv,
                       CbcBatchScratch* scratch) const {
@@ -77,34 +84,45 @@ class AesCbc {
 
     for (size_t i = 0; i < n; ++i) {
       CbcBatchItem& it = items[i];
-      if (it.out == nullptr || (it.len != 0 && it.plain == nullptr)) {
+      if (it.out == nullptr ? it.in_place == nullptr
+                            : (it.len != 0 && it.plain == nullptr)) {
         return Status::InvalidArgument("EncryptBatch: null item buffer");
       }
       const size_t full = it.len / kB;
+      if (it.out == nullptr) {
+        uint8_t* buf = it.in_place;
+        fill_iv(buf, kB);
+        const uint8_t pad = static_cast<uint8_t>(kB - it.len % kB);
+        std::memset(buf + kB + it.len, pad, pad);
+        scratch->streams.push_back(
+            internal::CbcStream{buf + kB, buf + kB, full + 1, buf});
+        continue;
+      }
       it.out->resize(CiphertextSize(it.len));
-      fill_iv(it.out->data(), kB);
+      uint8_t* ct = it.out->data();
+      fill_iv(ct, kB);
       if (full > 0) {
-        scratch->streams.push_back(internal::CbcStream{
-            it.plain, it.out->data() + kB, full, it.out->data()});
+        scratch->streams.push_back(
+            internal::CbcStream{it.plain, ct + kB, full, ct});
       }
     }
     aes_.CbcEncryptStreams(scratch->streams.data(), scratch->streams.size());
 
     // Final blocks: remainder bytes + PKCS#7 pad, chained off each item's
-    // last full ciphertext block (or the IV). All n are independent now
+    // last full ciphertext block (or the IV). All are independent now
     // that the full blocks above are done.
     for (size_t i = 0; i < n; ++i) {
       const CbcBatchItem& it = items[i];
+      if (it.out == nullptr) continue;
       const size_t full = it.len / kB;
       const size_t rem = it.len % kB;
       const uint8_t pad = static_cast<uint8_t>(kB - rem);
       uint8_t* fb = scratch->final_blocks.data() + i * kB;
       if (rem != 0) std::memcpy(fb, it.plain + full * kB, rem);
       std::memset(fb + rem, pad, pad);
-      const uint8_t* chain =
-          full > 0 ? it.out->data() + full * kB : it.out->data();
-      scratch->final_streams.push_back(internal::CbcStream{
-          fb, it.out->data() + kB + full * kB, 1, chain});
+      uint8_t* ct = it.out->data();
+      scratch->final_streams.push_back(
+          internal::CbcStream{fb, ct + kB + full * kB, 1, ct + full * kB});
     }
     aes_.CbcEncryptStreams(scratch->final_streams.data(),
                            scratch->final_streams.size());

@@ -78,17 +78,16 @@ Result<RecoveredCloud> RecoveryManager::Recover(const std::string& dir,
       case WalOp::kInstallTagged: {
         auto ins = DecodeWalInstall(frame.op, frame.body);
         if (!ins.ok()) return ins.status();
-        auto pub = net::DecodeIndexPublication(ins->publication);
+        auto pub = net::DecodeIndexPublication(std::move(ins->publication));
         if (!pub.ok()) return pub.status();
         if (frame.op == WalOp::kInstall) {
-          auto stats = server->PublishIndexed(ins->pn, std::move(*pub),
-                                              std::move(ins->publication));
+          auto stats = server->PublishIndexed(ins->pn, std::move(*pub));
           if (!stats.ok()) return stats.status();
         } else {
           auto table = net::DecodeMatchingTable(ins->table);
           if (!table.ok()) return table.status();
-          auto stats = server->PublishWithMatchingTable(
-              ins->pn, std::move(*pub), *table, std::move(ins->publication));
+          auto stats =
+              server->PublishWithMatchingTable(ins->pn, std::move(*pub), *table);
           if (!stats.ok()) return stats.status();
         }
         ++out.stats.installs_replayed;

@@ -479,13 +479,16 @@ Status Wal::WriteStageLocked() {
   return Status::OK();
 }
 
-Status Wal::AppendFrameLocked(WalOp op, const Bytes& payload) {
+Status Wal::AppendFrameLocked(WalOp op,
+                              std::initializer_list<ByteSpan> payload) {
   if (fd_ < 0) return Status::FailedPrecondition("wal is closed");
-  if (payload.size() > kMaxFrameBody - kFrameBodyPrefix) {
+  size_t payload_len = 0;
+  for (ByteSpan part : payload) payload_len += part.size();
+  if (payload_len > kMaxFrameBody - kFrameBodyPrefix) {
     return Status::InvalidArgument("WAL frame payload too large");
   }
   const uint64_t lsn = next_lsn_;
-  const uint32_t len = static_cast<uint32_t>(kFrameBodyPrefix + payload.size());
+  const uint32_t len = static_cast<uint32_t>(kFrameBodyPrefix + payload_len);
   uint8_t lenb[4];
   PutLE32(lenb, len);
   uint8_t prefix[kFrameBodyPrefix];
@@ -493,14 +496,16 @@ Status Wal::AppendFrameLocked(WalOp op, const Bytes& payload) {
   PutLE64(prefix + 1, lsn);
   uint32_t crc = Crc32(lenb, sizeof(lenb));
   crc = Crc32(prefix, sizeof(prefix), crc);
-  crc = Crc32(payload.data(), payload.size(), crc);
+  for (ByteSpan part : payload) crc = Crc32(part.data(), part.size(), crc);
   uint8_t crcb[4];
   PutLE32(crcb, crc);
 
   stage_.insert(stage_.end(), crcb, crcb + sizeof(crcb));
   stage_.insert(stage_.end(), lenb, lenb + sizeof(lenb));
   stage_.insert(stage_.end(), prefix, prefix + sizeof(prefix));
-  stage_.insert(stage_.end(), payload.begin(), payload.end());
+  for (ByteSpan part : payload) {
+    stage_.insert(stage_.end(), part.begin(), part.end());
+  }
 
   ++next_lsn_;
   ++frames_;
@@ -519,7 +524,8 @@ Status Wal::SealBatchLocked(uint64_t pn) {
     }
     record_batches_.erase(it);
     ++record_batch_frames_;
-    FRESQUE_RETURN_NOT_OK(AppendFrameLocked(WalOp::kRecordBatch, w.buffer()));
+    FRESQUE_RETURN_NOT_OK(
+        AppendFrameLocked(WalOp::kRecordBatch, {w.buffer()}));
   }
   if (auto it = tagged_batches_.find(pn); it != tagged_batches_.end()) {
     BinaryWriter w;
@@ -531,7 +537,8 @@ Status Wal::SealBatchLocked(uint64_t pn) {
     }
     tagged_batches_.erase(it);
     ++record_batch_frames_;
-    FRESQUE_RETURN_NOT_OK(AppendFrameLocked(WalOp::kTaggedBatch, w.buffer()));
+    FRESQUE_RETURN_NOT_OK(
+        AppendFrameLocked(WalOp::kTaggedBatch, {w.buffer()}));
   }
   return Status::OK();
 }
@@ -553,14 +560,14 @@ Status Wal::AppendMeta(double domain_min, double domain_max,
   w.PutF64(domain_min);
   w.PutF64(domain_max);
   w.PutF64(bin_width);
-  return AppendFrameLocked(WalOp::kMeta, w.buffer());
+  return AppendFrameLocked(WalOp::kMeta, {w.buffer()});
 }
 
 Status Wal::AppendStart(uint64_t pn) {
   MutexLock lock(mu_);
   BinaryWriter w;
   w.PutU64(pn);
-  return AppendFrameLocked(WalOp::kStart, w.buffer());
+  return AppendFrameLocked(WalOp::kStart, {w.buffer()});
 }
 
 Status Wal::AppendRecord(uint64_t pn, uint32_t leaf, const Bytes& e_record) {
@@ -584,21 +591,25 @@ Status Wal::AppendTagged(uint64_t pn, uint64_t tag, const Bytes& e_record) {
 Status Wal::AppendInstall(uint64_t pn, const Bytes& publication) {
   MutexLock lock(mu_);
   FRESQUE_RETURN_NOT_OK(SealBatchLocked(pn));
-  BinaryWriter w;
-  w.PutU64(pn);
-  w.PutBytes(publication);
-  return AppendFrameLocked(WalOp::kInstall, w.buffer());
+  // The publication is megabytes: it goes into the frame straight from
+  // the caller's buffer, behind a small header.
+  uint8_t head[12];
+  PutLE64(head, pn);
+  PutLE32(head + 8, static_cast<uint32_t>(publication.size()));
+  return AppendFrameLocked(WalOp::kInstall, {head, publication});
 }
 
 Status Wal::AppendInstallTagged(uint64_t pn, const Bytes& publication,
                                 const Bytes& table) {
   MutexLock lock(mu_);
   FRESQUE_RETURN_NOT_OK(SealBatchLocked(pn));
-  BinaryWriter w;
-  w.PutU64(pn);
-  w.PutBytes(publication);
-  w.PutBytes(table);
-  return AppendFrameLocked(WalOp::kInstallTagged, w.buffer());
+  uint8_t head[12];
+  PutLE64(head, pn);
+  PutLE32(head + 8, static_cast<uint32_t>(publication.size()));
+  uint8_t table_len[4];
+  PutLE32(table_len, static_cast<uint32_t>(table.size()));
+  return AppendFrameLocked(WalOp::kInstallTagged,
+                           {head, publication, table_len, table});
 }
 
 Status Wal::FsyncLocked(bool force) {

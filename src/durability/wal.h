@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -195,7 +196,9 @@ class Wal {
  private:
   explicit Wal(WalOptions opts);
 
-  Status AppendFrameLocked(WalOp op, const Bytes& body)
+  /// Appends one frame whose op-specific payload is `payload`'s parts,
+  /// back to back.
+  Status AppendFrameLocked(WalOp op, std::initializer_list<ByteSpan> payload)
       FRESQUE_REQUIRES(mu_);
   Status SealBatchLocked(uint64_t pn) FRESQUE_REQUIRES(mu_);
   Status SealAllBatchesLocked() FRESQUE_REQUIRES(mu_);

@@ -45,11 +45,11 @@ durability::DurabilityMetrics CloudNode::durability_metrics() const {
   return m;
 }
 
-Status CloudNode::LogInstall(uint64_t pn, const Bytes& publication,
+Status CloudNode::LogInstall(uint64_t pn, const Bytes* publication,
                              const Bytes& table, bool tagged) {
   if (wal_ == nullptr) return Status::OK();
-  Status st = tagged ? wal_->AppendInstallTagged(pn, publication, table)
-                     : wal_->AppendInstall(pn, publication);
+  Status st = tagged ? wal_->AppendInstallTagged(pn, *publication, table)
+                     : wal_->AppendInstall(pn, *publication);
   if (st.ok()) st = wal_->Commit();
   return st;
 }
@@ -104,22 +104,18 @@ void CloudNode::NoteError(const Status& st) {
   }
 }
 
-std::optional<Status> CloudNode::TryFinishTagged(uint64_t pn,
-                                                 Bytes* wal_publication,
-                                                 Bytes* wal_table) {
+std::optional<Status> CloudNode::TryFinishTagged(
+    uint64_t pn, std::shared_ptr<const Bytes>* wal_publication,
+    Bytes* wal_table) {
   auto idx_it = pending_index_.find(pn);
   auto tab_it = pending_table_.find(pn);
   if (idx_it == pending_index_.end() || tab_it == pending_table_.end()) {
     return std::nullopt;
   }
-  Bytes payload;
-  if (auto pit = pending_payload_.find(pn); pit != pending_payload_.end()) {
-    payload = std::move(pit->second);
-    pending_payload_.erase(pit);
-  }
-  if (wal_ != nullptr) *wal_publication = payload;  // logged after install
+  // Logged after install, from the buffer the installed publication keeps.
+  if (wal_ != nullptr) *wal_publication = idx_it->second.payload;
   auto stats = server_->PublishWithMatchingTable(
-      pn, std::move(idx_it->second), tab_it->second, std::move(payload));
+      pn, std::move(idx_it->second), tab_it->second);
   pending_index_.erase(idx_it);
   pending_table_.erase(tab_it);
   tagged_pns_.erase(pn);
@@ -196,14 +192,17 @@ bool CloudNode::Handle(net::Message&& m) {
     }
     case net::MessageType::kIndexPublication: {
       FRESQUE_TRACE_SPAN("matching");
-      auto pub = net::DecodeIndexPublication(m.payload);
+      // The payload moves into the decoded publication, whose overflow
+      // arrays point into it; the installed publication keeps it as its
+      // evidence and the WAL logs it from there.
+      auto pub = net::DecodeIndexPublication(std::move(m.payload));
       if (!pub.ok()) {
         NoteError(pub.status());
         Ack(m.pn, pub.status());
         return true;
       }
       std::optional<Status> outcome;
-      Bytes wal_publication;
+      std::shared_ptr<const Bytes> wal_publication;
       Bytes wal_table;
       bool tagged = false;
       {
@@ -211,12 +210,10 @@ bool CloudNode::Handle(net::Message&& m) {
         if (tagged_pns_.count(m.pn)) {
           tagged = true;
           pending_index_.emplace(m.pn, std::move(*pub));
-          pending_payload_[m.pn] = std::move(m.payload);
           outcome = TryFinishTagged(m.pn, &wal_publication, &wal_table);
         } else {
-          if (wal_ != nullptr) wal_publication = m.payload;
-          auto stats = server_->PublishIndexed(m.pn, std::move(*pub),
-                                               std::move(m.payload));
+          if (wal_ != nullptr) wal_publication = pub->payload;
+          auto stats = server_->PublishIndexed(m.pn, std::move(*pub));
           if (!stats.ok()) {
             if (first_error_.ok()) first_error_ = stats.status();
             outcome = stats.status();
@@ -229,7 +226,8 @@ bool CloudNode::Handle(net::Message&& m) {
       // Durability point, outside mu_ (fsync can stall): the success ack
       // is sent only after the install frame is committed.
       if (outcome.has_value() && outcome->ok()) {
-        Status logged = LogInstall(m.pn, wal_publication, wal_table, tagged);
+        Status logged =
+            LogInstall(m.pn, wal_publication.get(), wal_table, tagged);
         if (!logged.ok()) {
           NoteError(logged);
           outcome = logged;
@@ -270,7 +268,7 @@ bool CloudNode::Handle(net::Message&& m) {
         return true;
       }
       std::optional<Status> outcome;
-      Bytes wal_publication;
+      std::shared_ptr<const Bytes> wal_publication;
       Bytes wal_table;
       {
         MutexLock lock(mu_);
@@ -280,7 +278,8 @@ bool CloudNode::Handle(net::Message&& m) {
       }
       if (outcome.has_value() && outcome->ok()) {
         Status logged =
-            LogInstall(m.pn, wal_publication, wal_table, /*tagged=*/true);
+            LogInstall(m.pn, wal_publication.get(), wal_table,
+                       /*tagged=*/true);
         if (!logged.ok()) {
           NoteError(logged);
           outcome = logged;

@@ -625,35 +625,37 @@ void MergerImpl::FinishPublication(net::Message&& snap) {
     FailPublication(snap.pn, reason);
     return;
   }
-  // Pad the remaining slots with dummy ciphertexts, batch-encrypted in
-  // one interleaved AES call (slot storage is stable, so staging directly
-  // into the slots is safe). An encrypt failure here fails the whole
-  // publication: shipping empty or partially-padded slots would let the
-  // cloud distinguish real removed records from padding.
-  {
-    record::SecureRecordCodec::BatchEncryptor enc(&*codec);
-    overflow.ForEachEmptySlot(
-        [&](Bytes* slot) { enc.StageDummy(config_.dummy_padding_len, slot); });
-    Status padded = enc.Flush();
-    if (!padded.ok()) {
-      codec_failures_.fetch_add(1, std::memory_order_relaxed);
-      FRESQUE_COUNTER_ADD("collector.codec_failures", 1);
-      // fresque-lint: allow(hot-alloc) publication-failure path
-      std::string reason =
-          "merger: overflow dummy encrypt " + padded.ToString();
-      pending_.erase(it);
-      FailPublication(snap.pn, reason);
-      return;
-    }
+  codec_.emplace(std::move(codec).ValueOrDie());
+  if (!padder_) padder_.emplace(&*codec_);
+  // Lay the publication out once, in the payload buffer itself: the
+  // removed records are copied into their slots and every other slot is
+  // built and encrypted in place as a dummy, in one interleaved AES call.
+  // An encrypt failure fails the whole publication: shipping empty or
+  // partially-padded slots would let the cloud distinguish real removed
+  // records from padding.
+  const size_t padding = config_.dummy_padding_len;
+  auto payload = net::EncodeSignedIndexPublication(
+      net::IndexPublication(std::move(*merged), std::move(overflow)),
+      keys_->IndexMacKey(snap.pn),
+      record::SecureRecordCodec::DummyCiphertextSize(padding),
+      [&](uint8_t* slot, size_t) { padder_->StageDummy(padding, slot); },
+      [&] { return padder_->Flush(); });
+  if (!payload.ok()) {
+    codec_failures_.fetch_add(1, std::memory_order_relaxed);
+    FRESQUE_COUNTER_ADD("collector.codec_failures", 1);
+    // fresque-lint: allow(hot-alloc) publication-failure path
+    std::string reason =
+        "merger: overflow dummy encrypt " + payload.status().ToString();
+    pending_.erase(it);
+    FailPublication(snap.pn, reason);
+    return;
   }
 
   net::Message out;
   out.type = net::MessageType::kIndexPublication;
   out.pn = snap.pn;
   out.born_ns = snap.born_ns;  // publish-barrier stamp rides to the cloud
-  out.payload = net::EncodeSignedIndexPublication(
-      net::IndexPublication(std::move(*merged), std::move(overflow)),
-      keys_->IndexMacKey(snap.pn));
+  out.payload = std::move(payload).ValueOrDie();
   cloud_out_.push_back(std::move(out));
   publications_shipped_.fetch_add(1, std::memory_order_relaxed);
   FRESQUE_COUNTER_ADD("collector.publications_shipped", 1);

@@ -277,6 +277,13 @@ class MergerImpl {
   net::MailboxPtr acks_;
   crypto::SecureRandom rng_;
   std::map<uint64_t, PendingPublication> pending_;
+  /// The publication's record codec (one key per publication) and the
+  /// dummy-padding encryptor bound to its stable address (std::optional
+  /// re-emplacement never moves the object), as in ComputingNodeImpl:
+  /// its tens of thousands of staged slots reuse one item list and one
+  /// stream list across publications.
+  std::optional<record::SecureRecordCodec> codec_;
+  std::optional<record::SecureRecordCodec::BatchEncryptor> padder_;
   /// Per-batch outbound staging toward the cloud (see CheckingNodeImpl).
   std::vector<net::Message> cloud_out_;
   std::atomic<uint64_t> overflow_drops_{0};

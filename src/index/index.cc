@@ -171,8 +171,8 @@ void HistogramIndex::SerializeTo(BinaryWriter* w) const {
   }
 }
 
-Result<HistogramIndex> HistogramIndex::Deserialize(const Bytes& data) {
-  BinaryReader r(data);
+Result<HistogramIndex> HistogramIndex::Deserialize(ByteSpan data) {
+  BinaryReader r(data.data(), data.size());
   auto leaves = r.GetU64();
   auto fanout = r.GetU32();
   auto dmin = r.GetF64();

@@ -82,7 +82,7 @@ class HistogramIndex {
   Bytes Serialize() const;
   /// Appends the same bytes to `w`.
   void SerializeTo(BinaryWriter* w) const;
-  static Result<HistogramIndex> Deserialize(const Bytes& data);
+  static Result<HistogramIndex> Deserialize(ByteSpan data);
 
   /// In-memory footprint of the counts (for storage-overhead reporting).
   size_t CountBytes() const;

@@ -3,32 +3,64 @@
 namespace fresque {
 namespace index {
 
+namespace {
+
+constexpr size_t kHeaderSize = 2 * sizeof(uint64_t);
+constexpr size_t kPrefixSize = sizeof(uint32_t);
+
+uint64_t LoadLE(const uint8_t* p, size_t n) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < n; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
+  return v;
+}
+
+}  // namespace
+
 OverflowArrays::OverflowArrays(size_t num_leaves, size_t slots_per_leaf)
-    : slots_per_leaf_(slots_per_leaf),
-      slots_(num_leaves),
-      used_(num_leaves, 0) {
-  for (auto& leaf : slots_) leaf.resize(slots_per_leaf);
+    : num_leaves_(num_leaves), slots_per_leaf_(slots_per_leaf) {}
+
+ByteSpan OverflowArrays::framed_slot(size_t s) const {
+  if (buf_ == nullptr) return {};
+  return ByteSpan(buf_->data() + begin_ + offsets_[s],
+                  offsets_[s + 1] - offsets_[s]);
+}
+
+const Bytes* OverflowArrays::staged_at(size_t s) const {
+  if (stage_of_.empty() || stage_of_[s] == kNotStaged) return nullptr;
+  return &staged_[stage_of_[s]];
+}
+
+bool OverflowArrays::occupied(size_t s) const {
+  return staged_at(s) != nullptr || framed_slot(s).size() > kPrefixSize;
+}
+
+void OverflowArrays::Stage(size_t s, Bytes e_record) {
+  if (stage_of_.empty()) stage_of_.assign(num_slots(), kNotStaged);
+  stage_of_[s] = static_cast<uint32_t>(staged_.size());
+  staged_bytes_ += e_record.size();
+  staged_.push_back(std::move(e_record));
 }
 
 Status OverflowArrays::Insert(size_t i, Bytes e_record,
                               crypto::SecureRandom* rng) {
-  if (i >= slots_.size()) {
+  if (i >= num_leaves_) {
     return Status::OutOfRange("overflow leaf index out of range");
   }
-  auto& leaf = slots_[i];
-  if (used_[i] >= slots_per_leaf_) {
+  const size_t first = i * slots_per_leaf_;
+  const size_t end = first + slots_per_leaf_;
+  size_t free_count = 0;
+  for (size_t s = first; s < end; ++s) free_count += occupied(s) ? 0 : 1;
+  if (free_count == 0) {
     return Status::ResourceExhausted(
         "overflow array full for leaf " + std::to_string(i));
   }
-  // Place at a uniformly random empty slot so position reveals nothing
+  // Place at a uniformly random free slot so position reveals nothing
   // about arrival order.
-  size_t free_count = slots_per_leaf_ - used_[i];
   size_t target = rng->NextBounded(free_count);
-  for (auto& slot : leaf) {
-    if (!slot.empty()) continue;
+  for (size_t s = first; s < end; ++s) {
+    if (occupied(s)) continue;
     if (target == 0) {
-      slot = std::move(e_record);
-      ++used_[i];
+      Stage(s, std::move(e_record));
       return Status::OK();
     }
     --target;
@@ -36,74 +68,110 @@ Status OverflowArrays::Insert(size_t i, Bytes e_record,
   return Status::Internal("overflow free-slot bookkeeping out of sync");
 }
 
-size_t OverflowArrays::total_used() const {
-  size_t t = 0;
-  for (size_t u : used_) t += u;
-  return t;
+Status OverflowArrays::LayOut() {
+  if (num_slots() == 0) return Status::OK();
+  BinaryWriter w;
+  SerializeTo(&w);
+  if (w.size() > UINT32_MAX) {
+    return Status::ResourceExhausted("overflow arrays exceed 4 GiB");
+  }
+  const size_t len = w.size();
+  auto laid = Parse(std::make_shared<const Bytes>(w.Release()), 0, len);
+  if (!laid.ok()) return laid.status();
+  *this = std::move(*laid);
+  return Status::OK();
+}
+
+ByteSpan OverflowArrays::slot(size_t i, size_t s) const {
+  const size_t at = i * slots_per_leaf_ + s;
+  if (const Bytes* staged = staged_at(at)) return *staged;
+  ByteSpan framed = framed_slot(at);
+  return framed.empty() ? framed : framed.subspan(kPrefixSize);
+}
+
+size_t OverflowArrays::used(size_t i) const {
+  size_t n = 0;
+  for (size_t s = i * slots_per_leaf_; s < (i + 1) * slots_per_leaf_; ++s) {
+    n += occupied(s) ? 1 : 0;
+  }
+  return n;
 }
 
 Bytes OverflowArrays::Serialize() const {
   BinaryWriter w;
-  w.Reserve(SerializedSize());
   SerializeTo(&w);
   return w.Release();
 }
 
 void OverflowArrays::SerializeTo(BinaryWriter* w) const {
-  w->PutU64(slots_.size());
-  w->PutU64(slots_per_leaf_);
-  for (const auto& leaf : slots_) {
-    for (const auto& slot : leaf) {
-      w->PutBytes(slot);
-    }
-  }
+  SerializeTo(w, 0, [](uint8_t*, size_t) {});
 }
 
-size_t OverflowArrays::SerializedSize() const {
-  // Two u64 geometry words, then a u32 length prefix per slot.
-  return 2 * sizeof(uint64_t) +
-         slots_.size() * slots_per_leaf_ * sizeof(uint32_t) + PayloadBytes();
-}
-
-Result<OverflowArrays> OverflowArrays::Deserialize(const Bytes& data) {
-  BinaryReader r(data);
-  auto leaves = r.GetU64();
-  auto per_leaf = r.GetU64();
-  if (!leaves.ok() || !per_leaf.ok()) {
-    return Status::Corruption("truncated overflow header");
-  }
-  // Each slot costs at least a 4-byte length prefix; reject headers
-  // whose claimed geometry cannot fit in the remaining bytes (corrupt
-  // input must not drive allocation).
-  uint64_t min_bytes_per_slot = 4;
-  if (*per_leaf != 0 &&
-      *leaves > r.remaining() / (min_bytes_per_slot * *per_leaf) + 1) {
-    return Status::Corruption("overflow geometry exceeds payload");
-  }
-  if (*leaves * *per_leaf > r.remaining() / min_bytes_per_slot) {
-    return Status::Corruption("overflow geometry exceeds payload");
-  }
-  OverflowArrays out(*leaves, *per_leaf);
-  for (size_t i = 0; i < *leaves; ++i) {
-    for (size_t s = 0; s < *per_leaf; ++s) {
-      auto slot = r.GetBytes();
-      if (!slot.ok()) return Status::Corruption("truncated overflow slot");
-      out.slots_[i][s] = std::move(*slot);
-    }
-    out.used_[i] = *per_leaf;  // after deserialize, fill state is opaque
-  }
-  if (!r.exhausted()) {
-    return Status::Corruption("trailing bytes after overflow arrays");
-  }
-  return out;
+size_t OverflowArrays::SerializedSize(size_t free_size) const {
+  const size_t free_slots = num_slots() - laid_out_used_ - staged_.size();
+  return kHeaderSize + num_slots() * kPrefixSize + PayloadBytes() +
+         free_slots * free_size;
 }
 
 size_t OverflowArrays::PayloadBytes() const {
-  size_t t = 0;
-  for (const auto& leaf : slots_) {
-    for (const auto& slot : leaf) t += slot.size();
+  const size_t laid_out =
+      buf_ == nullptr
+          ? 0
+          : offsets_.back() - kHeaderSize - num_slots() * kPrefixSize;
+  return laid_out + staged_bytes_;
+}
+
+Result<OverflowArrays> OverflowArrays::Parse(std::shared_ptr<const Bytes> buf,
+                                             size_t begin, size_t len) {
+  if (buf == nullptr || begin > buf->size() || len > buf->size() - begin) {
+    return Status::InvalidArgument("overflow segment outside its buffer");
   }
-  return t;
+  if (len > UINT32_MAX) {
+    return Status::Corruption("overflow segment exceeds 4 GiB");
+  }
+  if (len < kHeaderSize) {
+    return Status::Corruption("truncated overflow header");
+  }
+  const uint8_t* p = buf->data() + begin;
+  const uint64_t leaves = LoadLE(p, sizeof(uint64_t));
+  const uint64_t per_leaf = LoadLE(p + sizeof(uint64_t), sizeof(uint64_t));
+  // Each slot costs at least its length prefix. Divide, never multiply: a
+  // corrupt header must neither overflow the slot count nor size an
+  // allocation past the bytes it arrived in.
+  const size_t max_slots = (len - kHeaderSize) / kPrefixSize;
+  if (leaves != 0 && (per_leaf == 0 || per_leaf > max_slots ||
+                      leaves > max_slots / per_leaf)) {
+    return Status::Corruption("overflow geometry exceeds payload");
+  }
+  OverflowArrays out(leaves, per_leaf);
+  const size_t n = out.num_slots();
+  out.offsets_.resize(n + 1);
+  size_t pos = kHeaderSize;
+  for (size_t s = 0; s < n; ++s) {
+    if (len - pos < kPrefixSize) {
+      return Status::Corruption("truncated overflow slot");
+    }
+    const size_t slot_len = LoadLE(p + pos, kPrefixSize);
+    if (slot_len > len - pos - kPrefixSize) {
+      return Status::Corruption("truncated overflow slot");
+    }
+    out.offsets_[s] = static_cast<uint32_t>(pos);
+    out.laid_out_used_ += slot_len > 0 ? 1 : 0;
+    pos += kPrefixSize + slot_len;
+  }
+  if (pos != len) {
+    return Status::Corruption("trailing bytes after overflow arrays");
+  }
+  out.offsets_[n] = static_cast<uint32_t>(pos);
+  out.buf_ = std::move(buf);
+  out.begin_ = begin;
+  return out;
+}
+
+Result<OverflowArrays> OverflowArrays::Deserialize(ByteSpan data) {
+  const size_t len = data.size();
+  return Parse(std::make_shared<const Bytes>(data.begin(), data.end()), 0,
+               len);
 }
 
 }  // namespace index

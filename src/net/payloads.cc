@@ -41,23 +41,71 @@ Result<std::vector<int64_t>> DecodeAlSnapshot(const Bytes& payload) {
   return al;
 }
 
-namespace {
+namespace internal {
 
-/// Appends the index and overflow segments, each u32-length-prefixed,
-/// reserving room for them and a trailing tag segment of `tag_len` bytes
-/// so the multi-megabyte overflow arrays are written without a
-/// reallocation.
-void PutContentSegments(const IndexPublication& pub, size_t tag_len,
-                        BinaryWriter* w) {
-  size_t at = w->BeginBytes();
-  pub.index.SerializeTo(w);
+void PutIndexSegment(const index::HistogramIndex& index, size_t overflow_size,
+                     size_t tag_len, BinaryWriter* w) {
+  const size_t at = w->BeginBytes();
+  index.SerializeTo(w);
   w->EndBytes(at);
-  w->Reserve(w->size() + sizeof(uint32_t) + pub.overflow.SerializedSize() +
-             sizeof(uint32_t) + tag_len);
-  at = w->BeginBytes();
-  pub.overflow.SerializeTo(w);
-  w->EndBytes(at);
+  // The overflow arrays are megabytes: reserve once so neither they nor
+  // the tag reallocate the payload.
+  w->Reserve(w->size() + sizeof(uint32_t) + overflow_size + sizeof(uint32_t) +
+             tag_len);
 }
+
+void PutTag(const Bytes& mac_key, BinaryWriter* w) {
+  crypto::HmacSha256 mac(mac_key);
+  mac.Update(w->buffer().data(), w->size());
+  const auto tag = mac.Finish();
+  w->PutU32(static_cast<uint32_t>(tag.size()));
+  w->PutRaw(tag.data(), tag.size());
+}
+
+}  // namespace internal
+
+Bytes EncodeIndexPublication(const IndexPublication& pub) {
+  BinaryWriter w;
+  internal::PutIndexSegment(pub.index, pub.overflow.SerializedSize(),
+                            pub.integrity_tag.size(), &w);
+  const size_t at = w.BeginBytes();
+  pub.overflow.SerializeTo(&w);
+  w.EndBytes(at);
+  w.PutBytes(pub.integrity_tag);
+  return w.Release();
+}
+
+Bytes EncodeSignedIndexPublication(const IndexPublication& pub,
+                                   const Bytes& mac_key) {
+  return EncodeSignedIndexPublication(
+             pub, mac_key, 0, [](uint8_t*, size_t) {},
+             [] { return Status::OK(); })
+      .ValueOrDie();
+}
+
+Result<IndexPublication> DecodeIndexPublication(Bytes payload) {
+  auto buf = std::make_shared<const Bytes>(std::move(payload));
+  BinaryReader r(*buf);
+  auto index_bytes = r.GetSpan();
+  auto overflow_bytes = r.GetSpan();
+  auto tag = r.GetBytes();
+  if (!index_bytes.ok() || !overflow_bytes.ok() || !tag.ok()) {
+    return Status::Corruption("truncated index publication");
+  }
+  auto idx = index::HistogramIndex::Deserialize(*index_bytes);
+  if (!idx.ok()) return idx.status();
+  auto ovf = index::OverflowArrays::Parse(
+      buf, static_cast<size_t>(overflow_bytes->data() - buf->data()),
+      overflow_bytes->size());
+  if (!ovf.ok()) return ovf.status();
+  IndexPublication pub(std::move(idx).ValueOrDie(),
+                       std::move(ovf).ValueOrDie());
+  pub.integrity_tag = std::move(*tag);
+  pub.payload = std::move(buf);
+  return pub;
+}
+
+namespace {
 
 std::array<uint8_t, crypto::HmacSha256::kDigestSize> MacPrefix(
     const uint8_t* data, size_t len, const Bytes& mac_key) {
@@ -67,41 +115,6 @@ std::array<uint8_t, crypto::HmacSha256::kDigestSize> MacPrefix(
 }
 
 }  // namespace
-
-Bytes EncodeIndexPublication(const IndexPublication& pub) {
-  BinaryWriter w;
-  PutContentSegments(pub, pub.integrity_tag.size(), &w);
-  w.PutBytes(pub.integrity_tag);
-  return w.Release();
-}
-
-Bytes EncodeSignedIndexPublication(const IndexPublication& pub,
-                                   const Bytes& mac_key) {
-  BinaryWriter w;
-  PutContentSegments(pub, crypto::HmacSha256::kDigestSize, &w);
-  const auto tag = MacPrefix(w.buffer().data(), w.size(), mac_key);
-  w.PutU32(static_cast<uint32_t>(tag.size()));
-  w.PutRaw(tag.data(), tag.size());
-  return w.Release();
-}
-
-Result<IndexPublication> DecodeIndexPublication(const Bytes& payload) {
-  BinaryReader r(payload);
-  auto index_bytes = r.GetBytes();
-  auto overflow_bytes = r.GetBytes();
-  auto tag = r.GetBytes();
-  if (!index_bytes.ok() || !overflow_bytes.ok() || !tag.ok()) {
-    return Status::Corruption("truncated index publication");
-  }
-  auto idx = index::HistogramIndex::Deserialize(*index_bytes);
-  if (!idx.ok()) return idx.status();
-  auto ovf = index::OverflowArrays::Deserialize(*overflow_bytes);
-  if (!ovf.ok()) return ovf.status();
-  IndexPublication pub(std::move(idx).ValueOrDie(),
-                       std::move(ovf).ValueOrDie());
-  pub.integrity_tag = std::move(*tag);
-  return pub;
-}
 
 Status VerifyIndexPublicationPayload(const Bytes& payload,
                                      const Bytes& mac_key) {

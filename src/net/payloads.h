@@ -2,10 +2,12 @@
 #define FRESQUE_NET_PAYLOADS_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/result.h"
+#include "crypto/hmac.h"
 #include "index/index.h"
 #include "index/matching.h"
 #include "index/overflow.h"
@@ -36,6 +38,9 @@ struct IndexPublication {
   index::OverflowArrays overflow;
   /// Empty when the producing prototype does not sign (baselines).
   Bytes integrity_tag;
+  /// The encoded payload this publication was decoded from; `overflow`'s
+  /// slots point into it. Null for a publication built locally.
+  std::shared_ptr<const Bytes> payload;
 
   IndexPublication(index::HistogramIndex idx, index::OverflowArrays ovf)
       : index(std::move(idx)), overflow(std::move(ovf)) {}
@@ -46,12 +51,49 @@ struct IndexPublication {
 /// HMAC-SHA-256 over the first two segments *with* their length
 /// prefixes, i.e. over the payload prefix that precedes the tag segment.
 Bytes EncodeIndexPublication(const IndexPublication& pub);
-Result<IndexPublication> DecodeIndexPublication(const Bytes& payload);
+/// Takes ownership of `payload` and keeps it as the result's `payload`:
+/// only the small index segment is copied out, the overflow arrays are
+/// parsed in place.
+Result<IndexPublication> DecodeIndexPublication(Bytes payload);
 
-/// Encodes `pub` signed under `mac_key` in one pass: both content
-/// segments are serialized straight into the payload, the HMAC runs over
-/// that prefix in place and the tag is appended. `pub.integrity_tag` is
-/// ignored. Same bytes as EncodeIndexPublication with the tag filled in.
+namespace internal {
+/// Writes the index segment and reserves room for an overflow segment of
+/// `overflow_size` bytes and a `tag_len`-byte tag, both length-prefixed.
+void PutIndexSegment(const index::HistogramIndex& index, size_t overflow_size,
+                     size_t tag_len, BinaryWriter* w);
+/// MACs everything in `w` under `mac_key` in place and appends the tag
+/// segment.
+void PutTag(const Bytes& mac_key, BinaryWriter* w);
+}  // namespace internal
+
+/// Encodes `pub` signed under `mac_key` in one pass, the whole payload
+/// in one buffer: both content segments are serialized straight into it,
+/// every free overflow slot `dummy_size` bytes long and handed to
+/// `stage_dummy(uint8_t* slot, size_t len)` in slot order. `flush()`
+/// (returning Status) runs once after that and must have written every
+/// handed-out slot — a batch encrypt; its failure fails the encode.
+/// Then the HMAC runs over the prefix in place and the tag is appended.
+/// `pub.integrity_tag` is ignored.
+template <typename StageFn, typename FlushFn>
+Result<Bytes> EncodeSignedIndexPublication(const IndexPublication& pub,
+                                           const Bytes& mac_key,
+                                           size_t dummy_size,
+                                           StageFn&& stage_dummy,
+                                           FlushFn&& flush) {
+  BinaryWriter w;
+  internal::PutIndexSegment(pub.index, pub.overflow.SerializedSize(dummy_size),
+                            crypto::HmacSha256::kDigestSize, &w);
+  const size_t at = w.BeginBytes();
+  pub.overflow.SerializeTo(&w, dummy_size, stage_dummy);
+  w.EndBytes(at);
+  FRESQUE_RETURN_NOT_OK(flush());
+  internal::PutTag(mac_key, &w);
+  return w.Release();
+}
+
+/// The signed encode of a publication with no slots left to pad (free
+/// slots stay empty): EncodeIndexPublication's bytes with the tag filled
+/// in.
 Bytes EncodeSignedIndexPublication(const IndexPublication& pub,
                                    const Bytes& mac_key);
 

@@ -18,11 +18,7 @@ LeafDescriptor BuildLeafDescriptor(const InstalledPublication& pub,
     d.postings = static_cast<uint32_t>(pub.postings[leaf].size());
   }
   if (leaf < pub.overflow.num_leaves()) {
-    uint32_t used = 0;
-    for (const auto& slot : pub.overflow.leaf(leaf)) {
-      if (!slot.empty()) ++used;
-    }
-    d.overflow_used = used;
+    d.overflow_used = static_cast<uint32_t>(pub.overflow.used(leaf));
   }
   return d;
 }
@@ -76,8 +72,12 @@ Status ScanPublication(const InstalledPublication& pub,
     }
     if (leaf < pub.overflow.num_leaves()) {
       FRESQUE_RETURN_NOT_OK(ctx.Check());
-      for (const auto& slot : pub.overflow.leaf(leaf)) {
-        if (!slot.empty()) out->overflow_records.push_back({pub.pn, slot});
+      for (size_t s = 0; s < pub.overflow.slots_per_leaf(); ++s) {
+        ByteSpan slot = pub.overflow.slot(leaf, s);
+        if (!slot.empty()) {
+          out->overflow_records.push_back(
+              {pub.pn, Bytes(slot.begin(), slot.end())});
+        }
       }
     }
   }

@@ -27,7 +27,8 @@ struct InstalledPublication {
                        index::OverflowArrays overflow_in,
                        std::vector<std::vector<cloud::PhysicalAddress>>
                            postings_in,
-                       Bytes evidence_in, TagFilter tag_filter_in)
+                       std::shared_ptr<const Bytes> evidence_in,
+                       TagFilter tag_filter_in)
       : pn(pn_in),
         storage(std::move(storage_in)),
         index(std::move(index_in)),
@@ -39,11 +40,15 @@ struct InstalledPublication {
   const uint64_t pn;
   const cloud::SegmentStorage storage;
   const index::HistogramIndex index;
+  /// Slots point into `evidence` when the publication arrived encoded,
+  /// so its bytes are held once; a locally built publication's arrays
+  /// own their segment.
   const index::OverflowArrays overflow;
   /// Per-leaf physical addresses into `storage`.
   const std::vector<std::vector<cloud::PhysicalAddress>> postings;
-  /// Verbatim publication payload (integrity evidence).
-  const Bytes evidence;
+  /// Verbatim publication payload (integrity evidence); null when the
+  /// publication was installed without one.
+  const std::shared_ptr<const Bytes> evidence;
   /// Bloom filter over the matching-table tags (empty in FRESQUE mode).
   const TagFilter tag_filter;
 };

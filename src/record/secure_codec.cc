@@ -1,5 +1,7 @@
 #include "record/secure_codec.h"
 
+#include <cstring>
+
 namespace fresque {
 namespace record {
 
@@ -33,6 +35,15 @@ Result<Bytes> SecureRecordCodec::EncryptDummy(size_t padding_len) {
                       [this](uint8_t* out, size_t n) { rng_->Fill(out, n); });
 }
 
+uint8_t* SecureRecordCodec::BatchEncryptor::StageItem(size_t plain_len,
+                                                      Bytes* out) {
+  const size_t start = arena_.size();
+  arena_.resize(start + plain_len);
+  offsets_.push_back(start);
+  items_.push_back(crypto::CbcBatchItem{nullptr, plain_len, out, nullptr});
+  return arena_.data() + start;
+}
+
 Status SecureRecordCodec::BatchEncryptor::StageRecord(const Record& rec,
                                                       Bytes* out) {
   const size_t start = arena_.size();
@@ -43,38 +54,42 @@ Status SecureRecordCodec::BatchEncryptor::StageRecord(const Record& rec,
     return st;
   }
   offsets_.push_back(start);
-  outs_.push_back(out);
+  items_.push_back(
+      crypto::CbcBatchItem{nullptr, arena_.size() - start, out, nullptr});
   return Status::OK();
 }
 
 void SecureRecordCodec::BatchEncryptor::StageSerializedRecord(const Bytes& body,
                                                               Bytes* out) {
-  offsets_.push_back(arena_.size());
-  arena_.push_back(kKindReal);
-  arena_.insert(arena_.end(), body.begin(), body.end());
-  outs_.push_back(out);
+  uint8_t* plain = StageItem(1 + body.size(), out);
+  plain[0] = kKindReal;
+  if (!body.empty()) std::memcpy(plain + 1, body.data(), body.size());
 }
 
 void SecureRecordCodec::BatchEncryptor::StageDummy(size_t padding_len,
                                                    Bytes* out) {
-  const size_t start = arena_.size();
-  arena_.resize(start + 1 + padding_len);
-  arena_[start] = kKindDummy;
-  codec_->rng_->Fill(arena_.data() + start + 1, padding_len);
-  offsets_.push_back(start);
-  outs_.push_back(out);
+  uint8_t* plain = StageItem(1 + padding_len, out);
+  plain[0] = kKindDummy;
+  codec_->rng_->Fill(plain + 1, padding_len);
+}
+
+void SecureRecordCodec::BatchEncryptor::StageDummy(size_t padding_len,
+                                                   uint8_t* out) {
+  uint8_t* plain = out + crypto::Aes::kBlockSize;
+  plain[0] = kKindDummy;
+  codec_->rng_->Fill(plain + 1, padding_len);
+  items_.push_back(
+      crypto::CbcBatchItem{nullptr, 1 + padding_len, nullptr, out});
 }
 
 Status SecureRecordCodec::BatchEncryptor::Flush() {
-  const size_t n = outs_.size();
+  const size_t n = items_.size();
   if (n == 0) return Status::OK();
-  // Item pointers are resolved only now: the arena cannot reallocate
-  // under them anymore.
-  items_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t end = (i + 1 < n) ? offsets_[i + 1] : arena_.size();
-    items_[i] = crypto::CbcBatchItem{arena_.data() + offsets_[i],
-                                     end - offsets_[i], outs_[i]};
+  // Arena plaintext pointers are resolved only now: the arena cannot
+  // reallocate under them anymore.
+  size_t next = 0;
+  for (auto& it : items_) {
+    if (it.out != nullptr) it.plain = arena_.data() + offsets_[next++];
   }
   crypto::SecureRandom* rng = codec_->rng_;
   Status st = codec_->cbc_.EncryptBatch(
@@ -82,7 +97,7 @@ Status SecureRecordCodec::BatchEncryptor::Flush() {
       &scratch_);
   arena_.clear();
   offsets_.clear();
-  outs_.clear();
+  items_.clear();
   return st;
 }
 

@@ -67,20 +67,37 @@ class SecureRecordCodec {
     /// Stages a dummy of `padding_len` random bytes.
     FRESQUE_HOT void StageDummy(size_t padding_len, Bytes* out);
 
+    /// Stages a dummy that is built and encrypted in place in `out`,
+    /// which must hold DummyCiphertextSize(padding_len) bytes — a slot
+    /// inside a larger buffer, so padding needs no per-slot buffer. The
+    /// padding is drawn now, the IV at Flush, as for the other overloads.
+    FRESQUE_HOT void StageDummy(size_t padding_len, uint8_t* out);
+
     /// Records currently staged and not yet flushed.
-    size_t staged() const { return outs_.size(); }
+    size_t staged() const { return items_.size(); }
 
     /// Encrypts everything staged (no-op when empty) and resets.
     FRESQUE_HOT Status Flush();
 
    private:
+    /// Appends `plain_len` bytes to the arena for one staged item whose
+    /// ciphertext goes to `out`; returns where they start.
+    uint8_t* StageItem(size_t plain_len, Bytes* out);
+
     SecureRecordCodec* codec_;
-    Bytes arena_;                  ///< kind||body plaintexts, back to back
-    std::vector<size_t> offsets_;  ///< start of each plaintext in arena_
-    std::vector<Bytes*> outs_;
+    Bytes arena_;  ///< kind||body plaintexts, back to back
+    /// Start in arena_ of each arena item's plaintext, in staging order.
+    std::vector<size_t> offsets_;
+    /// One per staged record, in staging order; arena plaintext pointers
+    /// are resolved at Flush, when the arena can no longer reallocate.
     std::vector<crypto::CbcBatchItem> items_;
     crypto::CbcBatchScratch scratch_;
   };
+
+  /// Length of an EncryptDummy(padding_len) ciphertext.
+  static size_t DummyCiphertextSize(size_t padding_len) {
+    return crypto::AesCbc::CiphertextSize(1 + padding_len);
+  }
 
   /// Decryption outcome: a real record or a recognized dummy.
   struct Opened {

@@ -458,7 +458,8 @@ TEST(OverflowTest, InsertThenPadFillsEverySlot) {
                   .ok());
   EXPECT_EQ(dummy_count, 4 * 3 - 2);
   for (size_t leaf = 0; leaf < 4; ++leaf) {
-    for (const auto& slot : ovf.leaf(leaf)) EXPECT_FALSE(slot.empty());
+    EXPECT_EQ(ovf.used(leaf), 3u);
+    for (size_t s = 0; s < 3; ++s) EXPECT_FALSE(ovf.slot(leaf, s).empty());
   }
 }
 
@@ -482,7 +483,11 @@ TEST(OverflowTest, SerializeRoundTrip) {
   EXPECT_EQ(back->num_leaves(), 3u);
   EXPECT_EQ(back->slots_per_leaf(), 2u);
   for (size_t leaf = 0; leaf < 3; ++leaf) {
-    EXPECT_EQ(back->leaf(leaf), ovf.leaf(leaf));
+    for (size_t s = 0; s < 2; ++s) {
+      const ByteSpan a = back->slot(leaf, s);
+      const ByteSpan b = ovf.slot(leaf, s);
+      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+    }
   }
   // Corruption.
   bytes.resize(bytes.size() / 2);
@@ -498,7 +503,7 @@ TEST(OverflowTest, InsertPositionIsRandomized) {
     OverflowArrays ovf(1, 16);
     (void)ovf.Insert(0, Bytes{7}, &rng);
     for (size_t s = 0; s < 16; ++s) {
-      if (!ovf.leaf(0)[s].empty()) positions.insert(s);
+      if (!ovf.slot(0, s).empty()) positions.insert(s);
     }
   }
   EXPECT_GT(positions.size(), 4u);

@@ -10,6 +10,7 @@
 #include "index/overflow.h"
 #include "net/payloads.h"
 #include "record/dataset.h"
+#include "record/secure_codec.h"
 
 namespace fresque {
 namespace {
@@ -112,6 +113,58 @@ TEST(PublicationIntegrityTest, OnePassSignedEncodeMatchesTwoPassComposition) {
     EXPECT_TRUE(net::VerifyIndexPublicationPayload(cut, key).IsCorruption())
         << "length " << len;
   }
+}
+
+/// The merger's signed payload for a fixed-seed publication: 40 removed
+/// records at random slots of 64 x 5 overflow arrays, every other slot a
+/// dummy with 64 bytes of padding. `in_place` pads the way the merger
+/// does, building and encrypting each dummy inside the payload; otherwise
+/// each dummy is encrypted into its own buffer first and the arrays are
+/// padded with those.
+Bytes MergerPayload(bool in_place) {
+  auto spec = record::NasaDataset();
+  auto binning = index::DomainBinning::Create(0, 64, 1);
+  crypto::SecureRandom rng(23);
+  auto tmpl = index::IndexTemplate::Create(*binning, 4, 1.0, &rng);
+  auto codec = record::SecureRecordCodec::Create(
+      Bytes(16, 0x21), &spec->parser->schema(), &rng);
+  EXPECT_TRUE(tmpl.ok() && codec.ok());
+  index::OverflowArrays ovf(64, 5);
+  for (int i = 0; i < 40; ++i) {
+    Bytes ct = codec->EncryptDummy(48 + 16 * (i % 3)).ValueOrDie();
+    (void)ovf.Insert(rng.NextBounded(64), std::move(ct), &rng);
+  }
+  const Bytes key(32, 0x42);
+  record::SecureRecordCodec::BatchEncryptor enc(&*codec);
+  if (in_place) {
+    return net::EncodeSignedIndexPublication(
+               net::IndexPublication(tmpl->noise_index(), std::move(ovf)),
+               key, record::SecureRecordCodec::DummyCiphertextSize(64),
+               [&](uint8_t* slot, size_t) { enc.StageDummy(64, slot); },
+               [&] { return enc.Flush(); })
+        .ValueOrDie();
+  }
+  std::vector<Bytes> dummies(64 * 5 - 40);
+  for (Bytes& d : dummies) enc.StageDummy(64, &d);
+  EXPECT_TRUE(enc.Flush().ok());
+  size_t next = 0;
+  EXPECT_TRUE(ovf.PadWithDummies([&] { return dummies.at(next++); }).ok());
+  return net::EncodeSignedIndexPublication(
+      net::IndexPublication(tmpl->noise_index(), std::move(ovf)), key);
+}
+
+// Padding in place draws the RNG in the per-slot order (each dummy's
+// padding in slot order, then every IV in slot order), so the payload
+// is byte-identical to per-slot padding.
+TEST(PublicationIntegrityTest, InPlacePaddingMatchesPerSlotPadding) {
+  const Bytes in_place = MergerPayload(true);
+  EXPECT_EQ(in_place, MergerPayload(false));
+  // Pinned: the payload the per-slot merger path produced for this seed
+  // (size and SHA-256), independent of this build's code.
+  const auto digest = crypto::Sha256::Hash(in_place);
+  EXPECT_EQ(in_place.size(), 32796u);
+  EXPECT_EQ(ToHex(Bytes(digest.begin(), digest.end())),
+            "ce1b50f827dabfd2e5fc55a13be97e45d624006762f8aa37b5acf2974370a7ef");
 }
 
 TEST(PublicationIntegrityTest, TagRoundTripsThroughEncodeDecode) {

@@ -94,6 +94,40 @@ TEST(RobustnessTest, OverflowDeserializeNeverCrashes) {
   }
 }
 
+// Overflow headers whose geometry once crashed the decoder: 2^62 slots
+// per leaf made the fit check divide by 4 * 2^62 == 0 (SIGFPE), and 2^40
+// leaves of zero slots sized a 2^40-entry table (std::bad_alloc). Both
+// arrive in 20-24 bytes, from the wire, a snapshot or the WAL.
+std::vector<Bytes> HostileOverflowHeaders() {
+  auto header = [](uint64_t leaves, uint64_t per_leaf, size_t tail) {
+    BinaryWriter w;
+    w.PutU64(leaves);
+    w.PutU64(per_leaf);
+    for (size_t i = 0; i < tail; ++i) w.PutU8(0);
+    return w.Release();
+  };
+  return {header(1, uint64_t{1} << 62, 4), header(uint64_t{1} << 40, 0, 8)};
+}
+
+TEST(RobustnessTest, OverflowGeometryOverflowIsCorruption) {
+  auto binning = index::DomainBinning::Create(0, 16, 1);
+  crypto::SecureRandom rng(15);
+  auto tmpl = index::IndexTemplate::Create(*binning, 4, 1.0, &rng);
+  const Bytes index_bytes = tmpl->noise_index().Serialize();
+  for (const Bytes& overflow : HostileOverflowHeaders()) {
+    EXPECT_TRUE(index::OverflowArrays::Deserialize(overflow).status()
+                    .IsCorruption());
+    // The same segment inside a publication payload, as the cloud node,
+    // WAL recovery and snapshot loading decode it.
+    BinaryWriter w;
+    w.PutBytes(index_bytes);
+    w.PutBytes(overflow);
+    w.PutBytes(Bytes(32, 0));
+    EXPECT_TRUE(net::DecodeIndexPublication(w.Release()).status()
+                    .IsCorruption());
+  }
+}
+
 TEST(RobustnessTest, MatchingTableDeserializeNeverCrashes) {
   index::MatchingTable t;
   for (uint64_t i = 0; i < 50; ++i) (void)t.Add(i * 977, i % 8);
